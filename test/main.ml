@@ -37,6 +37,7 @@ let () =
       ("baselines", Test_baselines.suite);
       ("tendermint", Test_tendermint.suite);
       ("smr", Test_smr.suite);
+      ("golden", Test_golden.suite);
       (* last: its saturation case deliberately churns the process-global
          fixed-base cache past capacity *)
       ("batch", Test_batch.suite);
