@@ -10,7 +10,9 @@
 
      dune exec bench/main.exe            full run (~minutes)
      dune exec bench/main.exe -- --quick reduced sweeps
-     dune exec bench/main.exe -- perf    hot-path before/after (see Perf) *)
+
+   End-to-end and per-layer performance is measured by perfbench/ (see
+   perfbench/README.md). *)
 
 open Bechamel
 open Toolkit
@@ -246,12 +248,6 @@ let exhibit name f =
   let t0 = Unix.gettimeofday () in
   f ();
   Printf.printf "  [%s regenerated in %.1f s]\n\n" name (Unix.gettimeofday () -. t0)
-
-let () =
-  if Array.exists (String.equal "perf") Sys.argv then begin
-    Perf.main ();
-    exit 0
-  end
 
 let () =
   Printf.printf "ICC reproduction benchmark harness%s\n\n"

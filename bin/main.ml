@@ -294,35 +294,11 @@ let run_cmd =
                    as $(i,prof-span)/$(i,prof-counter) events before \
                    run-end; $(b,icc analyze) renders them.")
   in
-  let no_batch_verify =
-    Arg.(value & flag
-         & info [ "no-batch-verify" ]
-             ~doc:"Disable random-linear-combination batch verification \
-                   (on by default).  A \xc2\xa73.5-style toggle: verdicts \
-                   and traces are identical either way, only speed \
-                   changes.")
-  in
-  let parallel_verify =
-    Arg.(value & opt int 0
-         & info [ "parallel-verify" ] ~docv:"WORKERS"
-             ~doc:"Fan verification batches out over this many worker \
-                   domains (OCaml 5.x builds; 0, the default, keeps \
-                   verification on the calling domain; 4.14 builds always \
-                   run sequentially).  Trace-preserving: chunks join in \
-                   deterministic input order.")
-  in
   let exec protocol n seed duration delta wan epsilon delta_bnd load block_size
       corrupt async_until fanout profile drop dup reorder flap nemesis_file
       crash_cycles adversary_file equivocate withhold corrupt_adaptive
-      trace_file monitor monitor_abort stall_factor no_batch_verify
-      parallel_verify =
+      trace_file monitor monitor_abort stall_factor =
     Icc_obs.Profile.set_enabled profile;
-    (* §3.5 toggles: flip while still single-domain (snapshot-at-spawn). *)
-    Icc_crypto.Batch.set_batch_verify (not no_batch_verify);
-    if parallel_verify > 0 then begin
-      Icc_crypto.Batch.set_parallel_verify true;
-      Icc_obs.Dpool.set_workers parallel_verify
-    end;
     let nemesis =
       nemesis_script ~drop ~dup ~reorder ~flap ~file:nemesis_file
         ~cycles:crash_cycles
@@ -417,8 +393,7 @@ let run_cmd =
       $ profile $ drop_arg $ dup_arg $ reorder_arg $ flap_arg
       $ nemesis_file_arg $ crash_cycle_arg $ adversary_file_arg
       $ equivocate_arg $ withhold_arg $ corrupt_adaptive_arg $ trace_arg
-      $ monitor_arg $ monitor_abort_arg $ stall_factor_arg $ no_batch_verify
-      $ parallel_verify)
+      $ monitor_arg $ monitor_abort_arg $ stall_factor_arg)
 
 (* ------------------------------------------------------------ exhibits *)
 

@@ -5,9 +5,7 @@
 
    The hash is memoized: [create] computes the digest once and carries it in
    the record, so the ~15 [hash] call sites on the party/pool hot path cost
-   a field read instead of an encode + SHA-256.  [set_memoization false]
-   restores the recompute-every-call behaviour so the benchmark harness can
-   measure the difference. *)
+   a field read instead of an encode + SHA-256. *)
 
 type t = {
   round : Types.round;
@@ -25,17 +23,7 @@ let compute_digest ~round ~proposer ~parent_hash ~payload =
        (Icc_crypto.Sha256.to_hex parent_hash)
        (Icc_crypto.Sha256.to_hex (Types.payload_digest payload)))
 
-(* Â§3.5 toggle, Atomic so a parallel verify pool hashing blocks reads it
-   race-free; flip only while single-domain (DESIGN.md Â§3.9). *)
-let memoize = Atomic.make true
-let set_memoization on = Atomic.set memoize on
-let memoization_enabled () = Atomic.get memoize
-
-let hash (b : t) =
-  if Atomic.get memoize then b.digest
-  else
-    compute_digest ~round:b.round ~proposer:b.proposer
-      ~parent_hash:b.parent_hash ~payload:b.payload
+let hash (b : t) = b.digest
 
 let create ~round ~proposer ~parent_hash ~payload =
   if round < 1 then invalid_arg "Block.create: rounds start at 1";

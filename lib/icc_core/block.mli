@@ -17,15 +17,8 @@ val root_hash : Icc_crypto.Sha256.t
 (** Hash standing in for the round-0 root block. *)
 
 val hash : t -> Icc_crypto.Sha256.t
-(** Commits to all four fields.  Served from the memoized [digest] field
-    unless memoization is disabled. *)
-
-val set_memoization : bool -> unit
-(** Toggle digest memoization (on by default).  With it off, {!hash}
-    re-encodes and re-hashes on every call — the pre-optimization
-    behaviour, kept so the benchmark harness can measure before/after. *)
-
-val memoization_enabled : unit -> bool
+(** Commits to all four fields.  Served from the memoized [digest]
+    field. *)
 
 val create :
   round:Types.round -> proposer:Types.party_id ->

@@ -223,8 +223,8 @@ let w_vuf_share buf (s : Icc_crypto.Threshold_vuf.signature_share) =
   w_int buf s.Icc_crypto.Threshold_vuf.value;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.challenge;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.response;
-  (* Commitments carried for batch verification, as with [w_schnorr];
-     modeled share size is unchanged. *)
+  (* Carried commitments, as with [w_schnorr]; modeled share size is
+     unchanged. *)
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit1;
   w_int buf s.Icc_crypto.Threshold_vuf.proof.Icc_crypto.Dleq.commit2
 

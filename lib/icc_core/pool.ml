@@ -25,9 +25,7 @@
    round, and the classification views ([valid_blocks], [notarized_blocks],
    [round_completion], the finalization scan) are cached against it.  A
    cache hit returns the value the uncached scan would recompute from
-   unchanged state, so caching can never alter results — only skip rescans.
-   [set_caching false] disables the caches so the benchmark harness can
-   measure before/after. *)
+   unchanged state, so caching can never alter results — only skip rescans. *)
 
 type key = Types.round * Icc_crypto.Sha256.t
 
@@ -100,13 +98,6 @@ type t = {
   mutable max_round : Types.round;
   mutable pruned_below : Types.round;
 }
-
-(* Â§3.5 toggle, Atomic so a parallel pool reader sees a coherent value;
-   discipline: flip only while single-domain (snapshot-at-spawn,
-   DESIGN.md Â§3.9). *)
-let caching = Atomic.make true
-let set_caching on = Atomic.set caching on
-let caching_enabled () = Atomic.get caching
 
 let fresh_slot () =
   {
@@ -266,10 +257,9 @@ let blocks_of_round t round =
   | None -> []
   | Some s -> List.filter_map (fun e -> e.e_block) s.s_blocks
 
-(* Epoch-stamped per-slot caches: the recompute path is the very same
-   closure the uncached path runs, and a hit is only served while the
-   slot's state is untouched, so cached and uncached answers are always
-   identical. *)
+(* Epoch-stamped per-slot caches: a hit is only served while the slot's
+   epoch is unchanged, i.e. while its state is untouched, so a cached
+   answer always equals a fresh recompute. *)
 
 let compute_valid s =
   List.filter_map
@@ -280,14 +270,12 @@ let valid_blocks t round =
   match find_slot t round with
   | None -> []
   | Some s ->
-      if not (Atomic.get caching) then compute_valid s
-      else (
-        match s.s_valid_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_valid s in
-            s.s_valid_cache <- Some (s.s_epoch, v);
-            v)
+      match s.s_valid_cache with
+      | Some (ep, v) when ep = s.s_epoch -> v
+      | Some _ | None ->
+          let v = compute_valid s in
+          s.s_valid_cache <- Some (s.s_epoch, v);
+          v
 
 let compute_notarized s =
   List.filter_map
@@ -298,14 +286,12 @@ let notarized_blocks t round =
   match find_slot t round with
   | None -> []
   | Some s ->
-      if not (Atomic.get caching) then compute_notarized s
-      else (
-        match s.s_notarized_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_notarized s in
-            s.s_notarized_cache <- Some (s.s_epoch, v);
-            v)
+      match s.s_notarized_cache with
+      | Some (ep, v) when ep = s.s_epoch -> v
+      | Some _ | None ->
+          let v = compute_notarized s in
+          s.s_notarized_cache <- Some (s.s_epoch, v);
+          v
 
 let notarization_cert t key =
   match entry_of t key with None -> None | Some e -> e.e_notar_cert
@@ -617,34 +603,16 @@ let add_beacon_share t ~round ?verify
         beacon_store t s signer { be_share = share; be_verified = false };
         true
 
-let verified_beacon_shares ?verify_batch t ~round ~verify =
+let verified_beacon_shares t ~round ~verify =
   match find_slot t round with
   | None -> []
   | Some s ->
       let n = t.system.Icc_crypto.Keygen.n in
-      (* With a batch verifier, settle every unverified occupant in one
-         call (in admission-list order) and mark the passes; the sweep
-         below then evicts the failures without re-verifying.  Verdicts
-         equal the per-share path's, so the kept list — and every trace
-         byte downstream — is identical. *)
-      let batched =
-        match verify_batch with
-        | None -> false
-        | Some vb ->
-            (match List.filter (fun e -> not e.be_verified) s.s_beacon_list with
-            | [] -> ()
-            | todo ->
-                List.iter2
-                  (fun e ok -> if ok then e.be_verified <- true)
-                  todo
-                  (vb (List.map (fun e -> e.be_share) todo)));
-            true
-      in
       let kept =
         List.filter
           (fun e ->
             if e.be_verified then true
-            else if (not batched) && verify e.be_share then begin
+            else if verify e.be_share then begin
               e.be_verified <- true;
               true
             end
@@ -848,14 +816,12 @@ let round_completion t round =
   match find_slot t round with
   | None -> None
   | Some s ->
-      if not (Atomic.get caching) then compute_round_completion t s
-      else (
-        match s.s_completion_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_round_completion t s in
-            s.s_completion_cache <- Some (s.s_epoch, v);
-            v)
+      match s.s_completion_cache with
+      | Some (ep, v) when ep = s.s_epoch -> v
+      | Some _ | None ->
+          let v = compute_round_completion t s in
+          s.s_completion_cache <- Some (s.s_epoch, v);
+          v
 
 (* One round's contribution to the Fig. 2 scan, cacheable per round. *)
 let compute_fin_hit t s =
@@ -885,14 +851,12 @@ let fin_hit t round =
   match find_slot t round with
   | None -> None
   | Some s ->
-      if not (Atomic.get caching) then compute_fin_hit t s
-      else (
-        match s.s_fin_cache with
-        | Some (ep, v) when ep = s.s_epoch -> v
-        | Some _ | None ->
-            let v = compute_fin_hit t s in
-            s.s_fin_cache <- Some (s.s_epoch, v);
-            v)
+      match s.s_fin_cache with
+      | Some (ep, v) when ep = s.s_epoch -> v
+      | Some _ | None ->
+          let v = compute_fin_hit t s in
+          s.s_fin_cache <- Some (s.s_epoch, v);
+          v
 
 (* Finalization subprotocol (Fig. 2): the smallest round above [kmax] that
    can be finished, either via a finalization certificate on a valid block

@@ -1,10 +1,9 @@
 (* Crypto-operation counters, backed by the {!Icc_obs.Registry}.
 
-   The counters keep their historical names and ordering — they are the
-   ["ops_before"]/["ops_after"] keys of BENCH_perf.json — but live in the
-   process-global registry, so `icc profile`, the Prometheus exposition
-   and the trace-bus [prof-counter] snapshots all see them too.  They
-   remain write-only inside lib/ (nothing reads them back into protocol
+   The counters keep their historical names and ordering — the benchmark
+   reports them as its [crypto.*] rows — and live in the process-global
+   registry, so `icc profile`, the Prometheus exposition and the
+   trace-bus [prof-counter] snapshots all see them too.  They remain write-only inside lib/ (nothing reads them back into protocol
    decisions), so they cannot affect scheduling or determinism. *)
 
 let sha256_digests = Icc_obs.Registry.counter "sha256_digests"
@@ -16,10 +15,6 @@ let pow_generic = Icc_obs.Registry.counter "pow_generic"
 let pow_fixed_base = Icc_obs.Registry.counter "pow_fixed_base"
 let fixed_base_tables = Icc_obs.Registry.counter "fixed_base_tables"
 let fixed_base_evictions = Icc_obs.Registry.counter "fixed_base_evictions"
-let multi_exps = Icc_obs.Registry.counter "multi_exps"
-let schnorr_batched = Icc_obs.Registry.counter "schnorr_batched"
-let dleq_batched = Icc_obs.Registry.counter "dleq_batched"
-let batch_fallbacks = Icc_obs.Registry.counter "batch_fallbacks"
 let zero_rederives = Icc_obs.Registry.counter "zero_rederives"
 
 let all =
@@ -33,10 +28,6 @@ let all =
     ("pow_fixed_base", pow_fixed_base);
     ("fixed_base_tables", fixed_base_tables);
     ("fixed_base_evictions", fixed_base_evictions);
-    ("multi_exps", multi_exps);
-    ("schnorr_batched", schnorr_batched);
-    ("dleq_batched", dleq_batched);
-    ("batch_fallbacks", batch_fallbacks);
     ("zero_rederives", zero_rederives);
   ]
 

@@ -1,10 +1,10 @@
 (** Crypto-operation counters, registered in the process-global
-    {!Icc_obs.Registry} under their historical names (the
-    ["ops_before"]/["ops_after"] keys of BENCH_perf.json).
+    {!Icc_obs.Registry} under the names {!snapshot} reports (the
+    [crypto.*] per-layer rows of the repository benchmark).
 
     Bumped on the crypto hot paths (hashing, signing/verification,
     exponentiation); write-only inside the library, so they cannot
-    influence protocol behaviour.  The bench driver resets and snapshots
+    influence protocol behaviour.  The benchmark resets and snapshots
     them around measured runs; `icc run` prints a summary line from
     {!snapshot}; the runner mirrors them onto the trace bus as
     [prof-counter] events when profiling is enabled. *)
@@ -27,21 +27,6 @@ val fixed_base_tables : Icc_obs.Registry.counter
 val fixed_base_evictions : Icc_obs.Registry.counter
 (** Resident fixed-base tables evicted to admit a probation-proven hot
     base once the cache is at capacity. *)
-
-val multi_exps : Icc_obs.Registry.counter
-(** Pippenger multi-exponentiations ({!Group.multi_exp} calls). *)
-
-val schnorr_batched : Icc_obs.Registry.counter
-(** Schnorr signatures checked through a random-linear-combination
-    batch equation rather than one-by-one. *)
-
-val dleq_batched : Icc_obs.Registry.counter
-(** DLEQ proofs checked through a random-linear-combination batch
-    equation rather than one-by-one. *)
-
-val batch_fallbacks : Icc_obs.Registry.counter
-(** Batches whose combined equation failed, forcing the per-item
-    fallback pass that identifies the culprits. *)
 
 val zero_rederives : Icc_obs.Registry.counter
 (** Zero scalars hit during key/nonce derivation and re-derived (hash

@@ -8,19 +8,16 @@
 
    Proofs carry the two commitments (k1, k2) = (base1^nonce,
    base2^nonce) alongside the classic (c, s) pair: the (c, s) form
-   recomputes them during verification and so cannot be batch-verified
-   (the challenge hash needs them first), while carrying them turns
-   verification into a hash check plus two inversion-free group
-   equations — and k proofs on a shared base pair fold into a single
-   random-linear-combination multi-exponentiation ({!verify_batch},
-   DESIGN.md §3.10).  The commitments are redundant given (c, s), so
-   modeled wire sizes are unchanged. *)
+   recomputes them during verification, which needs two inversions,
+   while carrying them turns verification into a hash check plus two
+   inversion-free group equations (DESIGN.md §3.10).  The commitments
+   are redundant given (c, s), so modeled wire sizes are unchanged. *)
 
 type proof = {
   challenge : Group.scalar;
   response : Group.scalar;
-  commit1 : Group.elt; (* base1^nonce; carried for batch verification *)
-  commit2 : Group.elt; (* base2^nonce; carried for batch verification *)
+  commit1 : Group.elt; (* base1^nonce, carried *)
+  commit2 : Group.elt; (* base2^nonce, carried *)
 }
 
 let challenge_hash ~base1 ~base2 ~a ~b ~commit1 ~commit2 =
@@ -52,124 +49,22 @@ let prove ~base1 ~base2 ~exponent ~msg_tag =
   let response = Group.scalar_add nonce (Group.scalar_mul challenge x) in
   { challenge; response; commit1; commit2 }
 
-(* The group-equation half of verification:
+(* Verification is the challenge-hash check plus the group equations
      base1^s = k1 * a^c  and  base2^s = k2 * b^c.
    If they hold, k1/k2 are forced into the QR subgroup, so
    attacker-supplied commitments need no separate membership check.
    base1 (generator), base2 (the round's shared message point) and a (a
    verification key) ride the fixed-base cache; b is a per-share value
    seen at most twice and stays on generic pow. *)
-let verify_eq ~base1 ~base2 ~a ~b { challenge; response; commit1; commit2 } =
-  Group.elt_equal
-    (Group.pow_cached base1 response)
-    (Group.mul commit1 (Group.pow_cached a challenge))
+let verify ~base1 ~base2 ~a ~b { challenge; response; commit1; commit2 } =
+  Icc_obs.Profile.span "crypto.dleq_verify" @@ fun () ->
+  Counters.bump Counters.dleq_verifies;
+  Group.scalar_equal challenge
+    (challenge_hash ~base1 ~base2 ~a ~b ~commit1 ~commit2)
+  && Group.elt_equal
+       (Group.pow_cached base1 response)
+       (Group.mul commit1 (Group.pow_cached a challenge))
   && Group.elt_equal
        (Group.pow_cached base2 response)
        (Group.mul commit2 (Group.pow b challenge))
-
-let verify ~base1 ~base2 ~a ~b pf =
-  Icc_obs.Profile.span "crypto.dleq_verify" @@ fun () ->
-  Counters.bump Counters.dleq_verifies;
-  Group.scalar_equal pf.challenge
-    (challenge_hash ~base1 ~base2 ~a ~b ~commit1:pf.commit1
-       ~commit2:pf.commit2)
-  && verify_eq ~base1 ~base2 ~a ~b pf
-[@@icc.domain_entry]
-
-(* --- batch verification ------------------------------------------------- *)
-
-(* Check one chunk of proofs sharing (base1, base2) through the combined
-   equation
-     base1^{sum_i z_i s_i} * base2^{sum_i z'_i s_i}
-       = prod_i a_i^{z_i c_i} * prod_i k1_i^{z_i} k2_i^{z'_i} b_i^{z'_i c_i}
-   for two independent deterministic weight streams z_i, z'_i in
-   [1, 2^32) (one per proof equation).  Hash mismatches are exact
-   rejects excluded up front; a failed combined equation falls back to
-   per-item equations to identify culprits.  a_i (verification keys),
-   base1 and base2 use the fixed-base cache; the fresh k1_i/k2_i/b_i
-   fold into one Pippenger multi-exp. *)
-let verify_chunk ~base1 ~base2
-    (chunk : (Group.elt * Group.elt * proof) array) : bool array =
-  Icc_obs.Profile.span "crypto.batch_verify" @@ fun () ->
-  let n = Array.length chunk in
-  let ok = Array.make n false in
-  Array.iteri
-    (fun i (a, b, pf) ->
-      Counters.bump Counters.dleq_verifies;
-      ok.(i) <-
-        Group.scalar_equal pf.challenge
-          (challenge_hash ~base1 ~base2 ~a ~b ~commit1:pf.commit1
-             ~commit2:pf.commit2))
-    chunk;
-  let idx =
-    Array.of_seq (Seq.filter (fun i -> ok.(i)) (Seq.init n (fun i -> i)))
-  in
-  let k = Array.length idx in
-  if k = 0 then ok
-  else begin
-    let zs =
-      Array.map
-        (fun i ->
-          let (a, b, pf) = chunk.(i) in
-          let vs = [| i; a; b; pf.challenge; pf.response |] in
-          (Batch.coeff ~salt:0xD1E0 vs, Batch.coeff ~salt:0xD1E1 vs))
-        idx
-    in
-    let e1 = ref 0 and e2 = ref 0 in
-    Array.iteri
-      (fun j i ->
-        let (_, _, pf) = chunk.(i) in
-        let z, z' = zs.(j) in
-        e1 := Group.scalar_add !e1 (Group.scalar_mul z pf.response);
-        e2 := Group.scalar_add !e2 (Group.scalar_mul z' pf.response))
-      idx;
-    let lhs =
-      Group.mul (Group.pow_cached base1 !e1) (Group.pow_cached base2 !e2)
-    in
-    let rhs_keys = ref Group.one in
-    Array.iteri
-      (fun j i ->
-        let (a, _, pf) = chunk.(i) in
-        let z, _ = zs.(j) in
-        rhs_keys :=
-          Group.mul !rhs_keys
-            (Group.pow_cached a (Group.scalar_mul z pf.challenge)))
-      idx;
-    let fresh = Array.make (3 * k) (Group.one, 0) in
-    Array.iteri
-      (fun j i ->
-        let (_, b, pf) = chunk.(i) in
-        let z, z' = zs.(j) in
-        fresh.(3 * j) <- (pf.commit1, z);
-        fresh.((3 * j) + 1) <- (pf.commit2, z');
-        fresh.((3 * j) + 2) <- (b, Group.scalar_mul z' pf.challenge))
-      idx;
-    let rhs = Group.mul !rhs_keys (Group.multi_exp fresh) in
-    if Group.elt_equal lhs rhs then begin
-      Icc_obs.Registry.add Counters.dleq_batched k;
-      ok
-    end
-    else begin
-      Counters.bump Counters.batch_fallbacks;
-      Array.iter
-        (fun i ->
-          let (a, b, pf) = chunk.(i) in
-          ok.(i) <- verify_eq ~base1 ~base2 ~a ~b pf)
-        idx;
-      ok
-    end
-  end
-
-let verify_batch ~base1 ~base2
-    (items : (Group.elt * Group.elt * proof) list) : bool list =
-  match items with
-  | [] -> []
-  | [ (a, b, pf) ] -> [ verify ~base1 ~base2 ~a ~b pf ]
-  | _ ->
-      let arr = Array.of_list items in
-      let f =
-        if Batch.batch_verify_enabled () then verify_chunk ~base1 ~base2
-        else Array.map (fun (a, b, pf) -> verify ~base1 ~base2 ~a ~b pf)
-      in
-      Array.to_list (Batch.dispatch f arr)
 [@@icc.domain_entry]

@@ -65,18 +65,9 @@ let mul_fast a b m d61 =
   let lo = (a0 * b0) mod m in
   add (add (shift31 (shift31 hi)) (shift31 mid) m) lo m
 
-(* §3.5 toggle, Atomic so concurrent verify domains read it race-free;
-   discipline: flip only while single-domain (snapshot-at-spawn,
-   DESIGN.md §3.9). *)
-let fast_mul = Atomic.make true
-let set_fast_mul on = Atomic.set fast_mul on
-let fast_mul_enabled () = Atomic.get fast_mul
-
 let mul a b m =
-  if Atomic.get fast_mul then
-    let d61 = (1 lsl 61) mod m in
-    if d61 < 1 lsl 29 then mul_fast a b m d61 else mul_generic a b m
-  else mul_generic a b m
+  let d61 = (1 lsl 61) mod m in
+  if d61 < 1 lsl 29 then mul_fast a b m d61 else mul_generic a b m
 [@@icc.domain_entry]
 
 let pow base e m =

@@ -16,21 +16,13 @@ val sub : int -> int -> int -> int
 val neg : int -> int -> int
 
 val mul : int -> int -> int -> int
-(** Modular product.  Uses a 31-bit-split fast path when enabled (the
-    default) and the modulus admits it; otherwise falls back to the
-    reference double-and-add.  Both compute the identical canonical
-    result. *)
+(** Modular product.  Uses a 31-bit-split fast path when the modulus
+    admits it; otherwise falls back to the reference double-and-add.
+    Both compute the identical canonical result. *)
 
 val mul_generic : int -> int -> int -> int
 (** Reference double-and-add product; always available, used by property
     tests to cross-check the fast path. *)
-
-val set_fast_mul : bool -> unit
-(** Toggle the fast multiplication path (on by default).  Only affects
-    speed, never results; exposed so the benchmark harness can measure
-    before/after. *)
-
-val fast_mul_enabled : unit -> bool
 
 val pow : int -> int -> int -> int
 (** [pow base e m] is [base^e mod m]; [e] must be non-negative. *)

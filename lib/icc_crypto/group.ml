@@ -47,11 +47,11 @@ let pow base e =
    Tables live in a domain-local cache keyed by base element: each domain
    builds its own tables (a table is a pure function of the base, so
    per-domain rebuilds cost only the ~300-mult construction), which keeps
-   the lookup path lock-free and race-free under a parallel verify pool
-   (DESIGN.md §3.9).  All cache access is by exact key (never iteration),
-   so cache state can never perturb protocol determinism; a size cap
-   bounds memory against adversarial inputs (full cache => compute
-   generic, don't cache). *)
+   the lookup path lock-free and race-free when verification runs on
+   several domains (DESIGN.md §3.9).  All cache access is by exact key
+   (never iteration), so cache state can never perturb protocol
+   determinism; a size cap bounds memory against adversarial inputs
+   (full cache => compute generic, don't cache). *)
 module Fixed_base = struct
   let windows = 16 (* ceil(61 / 4) *)
   let radix = 16
@@ -165,78 +165,15 @@ module Fixed_base = struct
         end
 end
 
-(* §3.5 toggle, Atomic so concurrent verify domains read it race-free;
-   discipline: flip only while single-domain (snapshot-at-spawn,
-   DESIGN.md §3.9). *)
-let fixed_base = Atomic.make true
-let set_fixed_base on = Atomic.set fixed_base on
-let fixed_base_enabled () = Atomic.get fixed_base
-
 let pow_cached base e =
-  if Atomic.get fixed_base then
-    match Fixed_base.find base with
-    | Some table ->
-        Counters.bump Counters.pow_fixed_base;
-        Fixed_base.pow table e
-    | None -> pow base e
-  else pow base e
+  match Fixed_base.find base with
+  | Some table ->
+      Counters.bump Counters.pow_fixed_base;
+      Fixed_base.pow table e
+  | None -> pow base e
 [@@icc.domain_entry]
 
 let base_pow e = pow_cached g e
-
-(* --- multi-exponentiation (Pippenger bucket method) --------------------- *)
-
-(* One pass of the bucket method per c-bit window, high window first:
-   square the accumulator c times, drop each base into the bucket of its
-   window digit, then fold the buckets with the running-product trick
-   (sum_j bucket_j^j in 2*(2^c - 1) mults).  Total cost is roughly
-   ceil(ebits/c) * (n + 2^c) mults + ebits squarings, vs. ~1.5*ebits*n
-   for n independent square-and-multiply exponentiations — the win that
-   makes random-linear-combination batch verification pay.  The window
-   width adapts to the batch size, and the window count to the widest
-   exponent, so 32-bit batch coefficients cost half the windows of full
-   61-bit scalars. *)
-let multi_exp (pairs : (elt * scalar) array) : elt =
-  Counters.bump Counters.multi_exps;
-  let n = Array.length pairs in
-  if n = 0 then one
-  else begin
-    let es = Array.map (fun (_, e) -> Fp.reduce e q) pairs in
-    let ebits =
-      Array.fold_left
-        (fun m e ->
-          let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-          max m (bits 0 e))
-        1 es
-    in
-    let c =
-      if n <= 4 then 3 else if n <= 16 then 4 else if n <= 96 then 6 else 8
-    in
-    let mask = (1 lsl c) - 1 in
-    let nwin = (ebits + c - 1) / c in
-    let buckets = Array.make (mask + 1) one in
-    let acc = ref one in
-    for w = nwin - 1 downto 0 do
-      if w < nwin - 1 then
-        for _ = 1 to c do
-          acc := mul !acc !acc
-        done;
-      Array.fill buckets 0 (mask + 1) one;
-      let shift = w * c in
-      for i = 0 to n - 1 do
-        let d = (es.(i) lsr shift) land mask in
-        if d <> 0 then buckets.(d) <- mul buckets.(d) (fst pairs.(i))
-      done;
-      let run = ref one and sum = ref one in
-      for j = mask downto 1 do
-        run := mul !run buckets.(j);
-        sum := mul !sum !run
-      done;
-      acc := mul !acc !sum
-    done;
-    !acc
-  end
-[@@icc.domain_entry]
 
 (* Scalar field Z_q helpers. *)
 let scalar_add a b = Fp.add a b q

@@ -26,30 +26,13 @@ val pow : elt -> int -> elt
 
 val pow_cached : elt -> int -> elt
 (** Like {!pow}, but serves the exponentiation from a precomputed
-    fixed-base window table when the optimisation is enabled (the
-    default), building and caching the table on first use.  Intended for
-    long-lived bases — the generator, public keys, verification keys;
-    never call it with per-message points.  Results are always identical
-    to {!pow}. *)
+    fixed-base window table, building and caching the table on first
+    use.  Intended for long-lived bases — the generator, public keys,
+    verification keys; never call it with per-message points.  Results
+    are always identical to {!pow}. *)
 
 val base_pow : int -> elt
 (** [base_pow e = pow_cached generator e]. *)
-
-val multi_exp : (elt * scalar) array -> elt
-(** [multi_exp \[| (b1, e1); ...; (bn, en) |\]] is the product
-    [b1^e1 * ... * bn^en], computed with the Pippenger bucket method —
-    roughly [ceil(bits/c) * (n + 2^c)] group mults for an adaptive
-    window width [c], vs. [~1.5 * bits * n] for [n] independent
-    {!pow}s.  Exponents are reduced mod [q]; narrow exponents (e.g.
-    32-bit batch coefficients) cost proportionally fewer windows.
-    [multi_exp \[||\] = one].  The workhorse of
-    {!Schnorr.verify_batch} / {!Dleq.verify_batch}. *)
-
-val set_fixed_base : bool -> unit
-(** Toggle fixed-base tables (on by default).  Only affects speed, never
-    results; exposed so the benchmark harness can measure before/after. *)
-
-val fixed_base_enabled : unit -> bool
 
 val scalar_add : scalar -> scalar -> scalar
 val scalar_sub : scalar -> scalar -> scalar

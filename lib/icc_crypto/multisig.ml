@@ -53,41 +53,12 @@ let verify_share params msg { signer; signature } =
   signer >= 1 && signer <= params.n
   && Schnorr.verify params.public_keys.(signer - 1) msg signature
 
-(* Per-share verdicts through {!Schnorr.verify_batch}: a combine or
-   certificate check hands all its shares to one batch call (one
-   combined equation per chunk when batching is on) instead of h
-   independent verifies.  Out-of-range signers are exact rejects that
-   never reach the signature check, mirroring {!verify_share}. *)
-let verify_shares params msg shares : bool list =
-  let in_range s = s.signer >= 1 && s.signer <= params.n in
-  let verdicts =
-    Schnorr.verify_batch
-      (List.filter_map
-         (fun s ->
-           if in_range s then
-             Some (params.public_keys.(s.signer - 1), msg, s.signature)
-           else None)
-         shares)
-  in
-  let rec stitch shares verdicts =
-    match shares with
-    | [] -> []
-    | s :: rest ->
-        if in_range s then
-          match verdicts with
-          | v :: vs -> v :: stitch rest vs
-          | [] -> assert false
-        else false :: stitch rest verdicts
-  in
-  stitch shares verdicts
-
 let combine params msg shares : signature option =
   Icc_obs.Profile.span "crypto.multisig_combine" @@ fun () ->
   (* Filter before deduplicating so a forged share cannot evict a genuine
      one bearing the same signer index. *)
   let valid =
-    List.combine shares (verify_shares params msg shares)
-    |> List.filter_map (fun (s, ok) -> if ok then Some s else None)
+    List.filter (verify_share params msg) shares
     |> List.sort_uniq (fun a b -> compare a.signer b.signer)
   in
   if List.length valid < params.threshold_h then None
@@ -102,11 +73,9 @@ let verify params msg { signers; signatures } =
   List.length signers >= params.threshold_h
   && List.length signers = List.length signatures
   && List.sort_uniq compare signers = signers
-  && List.for_all Fun.id
-       (verify_shares params msg
-          (List.map2
-             (fun signer signature -> { signer; signature })
-             signers signatures))
+  && List.for_all2
+       (fun signer signature -> verify_share params msg { signer; signature })
+       signers signatures
 [@@icc.domain_entry]
 
 (* Modeled wire sizes (BLS multi-signature scale): a share is one 48-byte

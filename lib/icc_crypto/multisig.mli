@@ -31,11 +31,6 @@ val setup : threshold_h:int -> n:int -> (unit -> int) -> params * secret list
 val sign_share : params -> secret -> string -> share
 val verify_share : params -> string -> share -> bool
 
-val verify_shares : params -> string -> share list -> bool list
-(** Per-share verdicts, identical to mapping {!verify_share}, but
-    routed through {!Schnorr.verify_batch} so one combined equation per
-    chunk covers the whole set when batching is enabled. *)
-
 val combine : params -> string -> share list -> signature option
 (** [None] when fewer than [threshold_h] distinct valid shares remain after
     filtering invalid and duplicate ones. *)

@@ -3,13 +3,11 @@
    key and message (RFC 6979 style) so signing needs no randomness source.
 
    Signatures carry the commitment R = g^nonce alongside the classic
-   (c, s) pair: the (c, s) form recomputes R during verification and so
-   cannot be batch-verified (each challenge hash needs its R first),
-   while carrying R makes the per-signature work a cheap hash check
-   plus one group equation g^s = R * pk^c — and k such equations fold
-   into a single random-linear-combination multi-exponentiation
-   ({!verify_batch}, DESIGN.md §3.10).  R is redundant given (c, s), so
-   modeled wire sizes are unchanged. *)
+   (c, s) pair: the (c, s) form recomputes R = g^s * pk^-c during
+   verification, while carrying R turns verification into a hash check
+   plus the inversion-free group equation g^s = R * pk^c (DESIGN.md
+   §3.10).  R is redundant given (c, s), so modeled wire sizes are
+   unchanged. *)
 
 (* The secret key caches its public point: [sign] needs g^sk for the
    challenge hash on every call, and the type is abstract so the cache is
@@ -20,7 +18,7 @@ type public_key = { pk : Group.elt }
 type signature = {
   challenge : Group.scalar;
   response : Group.scalar;
-  commitment : Group.elt; (* R = g^nonce; carried for batch verification *)
+  commitment : Group.elt; (* R = g^nonce, carried *)
 }
 
 let make_secret sk = { sk; cached_pk = Group.base_pow sk }
@@ -49,114 +47,18 @@ let sign { sk; cached_pk } (msg : string) : signature =
   let response = Group.scalar_add nonce (Group.scalar_mul challenge sk) in
   { challenge; response; commitment }
 
-(* The group-equation half of verification: g^s = R * pk^c.  If it
-   holds, R is forced into the QR subgroup (g^s and pk^c both are), so
-   an attacker-supplied commitment needs no separate membership check.
-   Both bases are long-lived (generator, a party public key), so both
-   exponentiations go through the fixed-base cache; carrying R means no
-   inversion is needed. *)
-let verify_eq { pk } { challenge; response; commitment } =
-  Group.elt_equal (Group.base_pow response)
-    (Group.mul commitment (Group.pow_cached pk challenge))
-
-let verify pk_r (msg : string) sg : bool =
+(* Verification is the challenge-hash check plus the group equation
+   g^s = R * pk^c.  If the equation holds, R is forced into the QR
+   subgroup (g^s and pk^c both are), so an attacker-supplied commitment
+   needs no separate membership check.  Both bases are long-lived
+   (generator, a party public key), so both exponentiations go through
+   the fixed-base cache; carrying R means no inversion is needed. *)
+let verify { pk } (msg : string) { challenge; response; commitment } : bool =
   Icc_obs.Profile.span "crypto.schnorr_verify" @@ fun () ->
   Counters.bump Counters.schnorr_verifies;
-  Group.scalar_equal sg.challenge
-    (challenge_hash ~commitment:sg.commitment ~pk:pk_r.pk ~msg)
-  && verify_eq pk_r sg
-[@@icc.domain_entry]
-
-(* --- batch verification ------------------------------------------------- *)
-
-(* Check one chunk through the combined equation
-     g^{sum_i z_i s_i} = prod_i pk_i^{z_i c_i} * prod_i R_i^{z_i}
-   for deterministic weights z_i in [1, 2^32).  Items whose challenge
-   hash already mismatches are exact rejects and are excluded from the
-   equation; if the combined equation fails, the per-item equation pass
-   identifies the culprits (and only then — [Counters.batch_fallbacks]).
-   pk_i are long-lived, so their full-width exponentiations stay on the
-   fixed-base cache; the fresh commitments R_i go through one Pippenger
-   multi-exp whose exponents are only 32 bits wide. *)
-let verify_chunk (chunk : (public_key * string * signature) array) :
-    bool array =
-  Icc_obs.Profile.span "crypto.batch_verify" @@ fun () ->
-  let n = Array.length chunk in
-  let ok = Array.make n false in
-  Array.iteri
-    (fun i (pk_r, msg, sg) ->
-      Counters.bump Counters.schnorr_verifies;
-      ok.(i) <-
-        Group.scalar_equal sg.challenge
-          (challenge_hash ~commitment:sg.commitment ~pk:pk_r.pk ~msg))
-    chunk;
-  let idx =
-    Array.of_seq
-      (Seq.filter (fun i -> ok.(i)) (Seq.init n (fun i -> i)))
-  in
-  let k = Array.length idx in
-  if k = 0 then ok
-  else begin
-    let z =
-      Array.map
-        (fun i ->
-          let (pk_r, _, sg) = chunk.(i) in
-          Batch.coeff ~salt:0x5C40
-            [| i; pk_r.pk; sg.challenge; sg.response; sg.commitment |])
-        idx
-    in
-    let lhs_exp = ref 0 in
-    Array.iteri
-      (fun j i ->
-        let (_, _, sg) = chunk.(i) in
-        lhs_exp :=
-          Group.scalar_add !lhs_exp (Group.scalar_mul z.(j) sg.response))
-      idx;
-    let rhs_keys = ref Group.one in
-    Array.iteri
-      (fun j i ->
-        let (pk_r, _, sg) = chunk.(i) in
-        rhs_keys :=
-          Group.mul !rhs_keys
-            (Group.pow_cached pk_r.pk (Group.scalar_mul z.(j) sg.challenge)))
-      idx;
-    let rhs_commits =
-      Group.multi_exp
-        (Array.mapi
-           (fun j i ->
-             let (_, _, sg) = chunk.(i) in
-             (sg.commitment, z.(j)))
-           idx)
-    in
-    if Group.elt_equal (Group.base_pow !lhs_exp) (Group.mul !rhs_keys rhs_commits)
-    then begin
-      Icc_obs.Registry.add Counters.schnorr_batched k;
-      ok
-    end
-    else begin
-      (* Combined equation failed: at least one hash-valid signature is
-         forged; fall back to per-item equations for exact verdicts. *)
-      Counters.bump Counters.batch_fallbacks;
-      Array.iter
-        (fun i ->
-          let (pk_r, _, sg) = chunk.(i) in
-          ok.(i) <- verify_eq pk_r sg)
-        idx;
-      ok
-    end
-  end
-
-let verify_batch (items : (public_key * string * signature) list) : bool list =
-  match items with
-  | [] -> []
-  | [ (pk_r, msg, sg) ] -> [ verify pk_r msg sg ]
-  | _ ->
-      let arr = Array.of_list items in
-      let f =
-        if Batch.batch_verify_enabled () then verify_chunk
-        else Array.map (fun (pk_r, msg, sg) -> verify pk_r msg sg)
-      in
-      Array.to_list (Batch.dispatch f arr)
+  Group.scalar_equal challenge (challenge_hash ~commitment ~pk ~msg)
+  && Group.elt_equal (Group.base_pow response)
+       (Group.mul commitment (Group.pow_cached pk challenge))
 [@@icc.domain_entry]
 
 (* Modeled wire size: production Schnorr/BLS signatures are 48–64 bytes

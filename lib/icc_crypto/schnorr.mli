@@ -12,10 +12,9 @@ type signature = {
   response : Group.scalar;
   commitment : Group.elt;
       (** [R = g^nonce].  Redundant given [(challenge, response)] — the
-          classic form recomputes it — but carrying it is what makes
-          signatures batch-verifiable: k checks fold into one
-          random-linear-combination multi-exponentiation
-          ({!verify_batch}).  Modeled wire sizes are unchanged. *)
+          classic form recomputes it — but carrying it makes
+          verification inversion-free.  Modeled wire sizes are
+          unchanged. *)
 }
 
 val keygen : (unit -> int) -> secret_key * public_key
@@ -25,17 +24,6 @@ val keygen : (unit -> int) -> secret_key * public_key
 val public_key_of_secret : secret_key -> public_key
 val sign : secret_key -> string -> signature
 val verify : public_key -> string -> signature -> bool
-
-val verify_batch : (public_key * string * signature) list -> bool list
-(** Per-item verdicts, identical to mapping {!verify} (up to the
-    ~2^-32 RLC false-accept bound).  With batching enabled
-    ({!Batch.set_batch_verify}, the default) the items are checked in
-    chunks of {!Batch.max_chunk} through one combined group equation
-    each — a hash check plus O(1) amortised group work per signature —
-    falling back to per-item equations inside a chunk whose combined
-    equation fails, so culprits are still identified exactly.  With
-    {!Batch.set_parallel_verify} the chunks fan out over the
-    {!Icc_obs.Dpool} worker domains, joined in input order. *)
 
 val signature_wire_size : int
 (** Modeled production wire size in bytes, used by traffic accounting. *)

@@ -3,7 +3,7 @@
    Unlike D1-D4, which are per-expression checks, domain safety is a
    whole-program property: a top-level Hashtbl is only a hazard if code
    transitively reachable from a [@icc.domain_entry] seed (the functions
-   handed to [Domain.spawn] by the parallel-verify closure) touches it.
+   a [Domain.spawn] worker would run) touches it.
    So the pass runs in two stages over the same [.cmt] walk the driver
    already performs:
 

@@ -1,7 +1,7 @@
 (** D5-D8 domain-safety analysis (DESIGN.md §3.9): an inventory of
     top-level mutable state, a reference graph rooted at the
     [@icc.domain_entry] seeds, and findings for unsynchronized state
-    reachable from the parallel-verify closure.
+    reachable from the domain-entry closure.
 
     [collect] is called once per linted implementation; [finalize] once
     all units are in — it resolves names across modules, runs the

@@ -10,9 +10,9 @@
    Domain safety (DESIGN.md §3.9): the span stack and the round/party
    attribution context are domain-local ([Dls] — every domain profiles
    its own call tree), the enable toggle is an [Atomic.t], and the
-   four aggregation tables are only touched under [profile_lock], so a
-   parallel verify pool can run with profiling on without racing the
-   main domain.  On 4.14 the shims degrade to plain cells and no-op
+   four aggregation tables are only touched under [profile_lock], so
+   spans on several domains can run with profiling on without racing
+   the main domain.  On 4.14 the shims degrade to plain cells and no-op
    locks with identical single-domain behaviour.
 
    All query output is sorted with keyed comparators — Hashtbl iteration

@@ -2,8 +2,8 @@
     per-phase total/self aggregation, per-party and per-round attribution,
     and folded-stack (flamegraph-compatible) output.
 
-    The profiler is a speed toggle in the §3.5 style — OFF by default and
-    forbidden from changing behaviour.  When disabled, {!span} is one
+    The profiler is a runtime switch — OFF by default and forbidden from
+    changing behaviour.  When disabled, {!span} is one
     atomic load and a branch before calling the thunk: no clock is read,
     nothing is recorded, and traced runs stay byte-identical to
     unprofiled ones.

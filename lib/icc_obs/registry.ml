@@ -3,8 +3,8 @@
    Counters and gauges are [Atomic.t]-backed cells: a bump is one atomic
    fetch-and-add, so the hot instrumentation paths (crypto verifies, pool
    admissions) stay race-free when executed from several domains at once
-   — the precondition for the ROADMAP item 3 parallel verify pool, and
-   what the d6-domain-escape lint certifies (DESIGN.md §3.9).  [Atomic]
+   — the precondition for verifying on several domains, and what the
+   d6-domain-escape lint certifies (DESIGN.md §3.9).  [Atomic]
    is stdlib since 4.12, so the 4.14 leg of the CI matrix needs no shim.
 
    Histogram observation remains plain mutable state: observations come

@@ -1,8 +1,8 @@
 (* Parallel-verify smoke (OCaml 5.x only): drive the exact closure the
    D5-D8 domain-safety lint certifies — Schnorr / DLEQ / multisig
-   verification, fixed-base cache and Fp fast path enabled, Registry
-   counters and Profile spans live — from several concurrent domains,
-   and check every domain agrees with the sequential baseline.
+   verification through the fixed-base cache and the Fp fast path, with
+   Registry counters and Profile spans live — from several concurrent
+   domains, and check every domain agrees with the sequential baseline.
 
    This is the workload the CI `domain-safety` job runs under a
    ThreadSanitizer compiler variant: any unsynchronized access the
@@ -84,48 +84,5 @@ let () =
     failwith
       (Printf.sprintf "schnorr_verifies counter lost updates: %d < %d" verifies
          expected);
-  (* Second leg: the RLC batch path fanned out over the Dpool worker
-     domains — the closure the `pool.parallel_join` span wraps in
-     production.  Small chunks force many parallel jobs; one planted
-     forgery forces a chunk's per-item fallback pass inside a worker. *)
-  let items =
-    List.concat_map
-      (fun d ->
-        let _, pk = keys.(d) in
-        List.init sigs_per_domain (fun i -> (pk, msgs.(d).(i), sigs.(d).(i))))
-      (List.init domains Fun.id)
-  in
-  let forged =
-    match items with
-    | (pk, msg, sg) :: rest ->
-        (pk, msg,
-         { sg with
-           Icc_crypto.Schnorr.response =
-             Icc_crypto.Group.scalar_add sg.Icc_crypto.Schnorr.response 1 })
-        :: rest
-    | [] -> assert false
-  in
-  let singles l =
-    List.map (fun (pk, m, s) -> Icc_crypto.Schnorr.verify pk m s) l
-  in
-  Icc_crypto.Batch.set_batch_verify true;
-  Icc_crypto.Batch.set_max_chunk 4;
-  Icc_crypto.Batch.set_parallel_verify true;
-  Icc_obs.Dpool.set_workers domains;
-  List.iter
-    (fun l ->
-      if Icc_crypto.Schnorr.verify_batch l <> singles l then
-        failwith "parallel batch verdicts diverge from singles")
-    [ items; forged ];
-  let dleq_items = List.init 32 (fun _ -> (a, b, dleq)) in
-  let dleq_batch =
-    Icc_crypto.Dleq.verify_batch ~base1:Icc_crypto.Group.generator ~base2
-      dleq_items
-  in
-  if not (List.for_all Fun.id dleq_batch && List.length dleq_batch = 32) then
-    failwith "parallel dleq batch rejected honest proofs";
-  Icc_crypto.Batch.set_parallel_verify false;
-  Icc_crypto.Batch.set_max_chunk 64;
-  Icc_obs.Dpool.shutdown ();
-  Printf.printf "parallel-verify smoke ok: %d domains x %d sigs + batch pool\n"
-    domains sigs_per_domain
+  Printf.printf "parallel verify smoke ok: %d domains x %d sigs\n" domains
+    sigs_per_domain

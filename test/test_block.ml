@@ -20,25 +20,32 @@ let test_hash_deterministic () =
     (Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b))
 
 let test_digest_memoization_equivalent () =
-  (* The digest stored by [create] must equal what recomputation yields:
-     [hash] answers identically with memoization on or off. *)
+  (* The digest stored by [create] must equal the SHA-256 of the block's
+     encoding, recomputed here independently of [Block]. *)
+  let recompute (b : Icc_core.Block.t) =
+    Icc_crypto.Sha256.digest_string
+      (Printf.sprintf "block|%d|%d|%s|%s" b.Icc_core.Block.round
+         b.Icc_core.Block.proposer
+         (Icc_crypto.Sha256.to_hex b.Icc_core.Block.parent_hash)
+         (Icc_crypto.Sha256.to_hex
+            (Icc_core.Types.payload_digest b.Icc_core.Block.payload)))
+  in
+  let payload =
+    {
+      Icc_core.Types.commands =
+        [ Icc_core.Types.command ~cmd_id:9 ~cmd_size:40 ~submitted_at:0. () ];
+      filler_size = 3;
+    }
+  in
   let b1 = Kit.block ~round:5 ~proposer:3 ~parent:None () in
   let b2 = Kit.block ~round:6 ~proposer:1 ~parent:(Some b1) () in
-  Alcotest.(check bool) "memoization on by default" true
-    (Icc_core.Block.memoization_enabled ());
-  let memoized = List.map Icc_core.Block.hash [ b1; b2 ] in
-  Icc_core.Block.set_memoization false;
-  let recomputed = List.map Icc_core.Block.hash [ b1; b2 ] in
-  Icc_core.Block.set_memoization true;
-  List.iter2
-    (fun h h' ->
-      Alcotest.(check string) "same digest"
-        (Icc_crypto.Sha256.to_hex h)
-        (Icc_crypto.Sha256.to_hex h'))
-    memoized recomputed;
-  Alcotest.(check string) "stored digest is the hash"
-    (Icc_crypto.Sha256.to_hex (List.hd memoized))
-    (Icc_crypto.Sha256.to_hex b1.Icc_core.Block.digest)
+  let b3 = Kit.block ~payload ~round:7 ~proposer:2 ~parent:(Some b2) () in
+  List.iter
+    (fun b ->
+      Alcotest.(check string) "hash = sha256 of the encoding"
+        (Icc_crypto.Sha256.to_hex (recompute b))
+        (Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b)))
+    [ b1; b2; b3 ]
 
 let test_round_zero_rejected () =
   Alcotest.check_raises "round 0" (Invalid_argument "Block.create: rounds start at 1")

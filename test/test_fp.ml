@@ -94,23 +94,26 @@ let prop_fast_mul_matches_generic =
       and b = Icc_crypto.Fp.reduce (abs b) m' in
       Icc_crypto.Fp.mul a b m' = Icc_crypto.Fp.mul_generic a b m')
 
-let test_fast_mul_toggle () =
-  (* The benchmark toggle only switches implementations, never results. *)
-  Alcotest.(check bool) "fast mul on by default" true
-    (Icc_crypto.Fp.fast_mul_enabled ());
-  let checks () =
-    List.iter
-      (fun (a, b) ->
-        Alcotest.(check int)
-          (Printf.sprintf "mul %d %d" a b)
-          (Icc_crypto.Fp.mul_generic a b m)
-          (Icc_crypto.Fp.mul a b m))
-      [ (m - 1, m - 1); (m - 2, m - 1); (1234567890123, 987654321098) ]
+let test_fast_mul_edges () =
+  (* Operands at the edges of the 31-bit split, for both protocol moduli,
+     against the reference double-and-add. *)
+  let edges m =
+    [ 0; 1; 2; m - 2; m - 1; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 31) - 1;
+      1 lsl 31; (1 lsl 60) mod m; 1234567890123 mod m; 987654321098 mod m ]
   in
-  checks ();
-  Icc_crypto.Fp.set_fast_mul false;
-  checks ();
-  Icc_crypto.Fp.set_fast_mul true
+  List.iter
+    (fun m ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.(check int)
+                (Printf.sprintf "mul %d %d mod %d" a b m)
+                (Icc_crypto.Fp.mul_generic a b m)
+                (Icc_crypto.Fp.mul a b m))
+            (edges m))
+        (edges m))
+    [ m; Icc_crypto.Group.q ]
 
 let prop_sub_add_roundtrip =
   QCheck.Test.make ~name:"fp sub/add roundtrip" ~count:200
@@ -131,5 +134,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pow_adds_exponents;
     QCheck_alcotest.to_alcotest prop_sub_add_roundtrip;
     QCheck_alcotest.to_alcotest prop_fast_mul_matches_generic;
-    Alcotest.test_case "fast mul toggle" `Quick test_fast_mul_toggle;
+    Alcotest.test_case "fast mul = generic mul (edges)" `Quick
+      test_fast_mul_edges;
   ]

@@ -65,6 +65,33 @@ let classification pool blocks =
         Icc_core.Pool.notar_share_count pool key ))
     blocks
 
+(* The answers of the four epoch-cached views over rounds 1..3, rendered
+   comparable: block hashes, completion and finalization kinds. *)
+let views pool =
+  let hex b = Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b) in
+  let completion = function
+    | None -> "none"
+    | Some (Icc_core.Pool.Already_notarized (b, _)) -> "notarized " ^ hex b
+    | Some (Icc_core.Pool.Combinable (b, shares)) ->
+        Printf.sprintf "combinable %s %d" (hex b) (List.length shares)
+  in
+  let finalization = function
+    | None -> "none"
+    | Some (Icc_core.Pool.Final_cert (b, _)) -> "cert " ^ hex b
+    | Some (Icc_core.Pool.Final_combinable (b, shares)) ->
+        Printf.sprintf "combinable %s %d" (hex b) (List.length shares)
+  in
+  List.concat_map
+    (fun round ->
+      [
+        String.concat "," (List.map hex (Icc_core.Pool.valid_blocks pool round));
+        String.concat ","
+          (List.map hex (Icc_core.Pool.notarized_blocks pool round));
+        completion (Icc_core.Pool.round_completion pool round);
+        finalization (Icc_core.Pool.finalization_step pool ~kmax:(round - 1));
+      ])
+    [ 1; 2; 3 ]
+
 let prop_order_invariance =
   QCheck.Test.make ~name:"pool classification is admission-order invariant"
     ~count:60 QCheck.int (fun seed ->
@@ -82,7 +109,17 @@ let prop_order_invariance =
       Icc_sim.Rng.shuffle_in_place rng arr;
       let pool = Icc_core.Pool.create kit.Kit.system in
       Array.iter (fun (Op (_, f)) -> ignore (f pool)) arr;
-      classification pool blocks = reference)
+      (* the same admissions into a pool whose epoch caches are filled
+         and invalidated by a query of every view after each one *)
+      let warm = Icc_core.Pool.create kit.Kit.system in
+      Array.iter
+        (fun (Op (_, f)) ->
+          ignore (f warm);
+          ignore (views warm))
+        arr;
+      classification pool blocks = reference
+      && classification warm blocks = reference
+      && views warm = views pool)
 
 let prop_duplicates_are_noops =
   QCheck.Test.make ~name:"pool duplicate admission changes nothing" ~count:30

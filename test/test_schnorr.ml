@@ -55,6 +55,37 @@ let prop_cross_message_rejected =
       let sk, pk = Icc_crypto.Schnorr.keygen rand_bits in
       not (Icc_crypto.Schnorr.verify pk m2 (Icc_crypto.Schnorr.sign sk m1)))
 
+(* A forger who moves the carried commitment R and recomputes the
+   challenge hash over it, so the hash check passes and only the group
+   equation g^s = R * pk^c can catch the forgery.  The response is kept, or
+   shifted by the same exponent as R. *)
+let prop_rehashed_commitment_rejected =
+  QCheck.Test.make ~name:"schnorr rejects re-hashed commitment" ~count:60
+    (QCheck.triple QCheck.small_string (QCheck.int_range 1 1_000_000)
+       QCheck.bool) (fun (msg, delta, shift_response) ->
+      let module G = Icc_crypto.Group in
+      let module S = Icc_crypto.Schnorr in
+      let sk, pk = S.keygen rand_bits in
+      let sg = S.sign sk msg in
+      let challenge commitment =
+        G.scalar_of_hash
+          (Icc_crypto.Sha256.digest_string
+             (Printf.sprintf "schnorr|%d|%d|%s" commitment pk.S.pk msg))
+      in
+      let commitment = G.mul sg.S.commitment (G.base_pow delta) in
+      let forged =
+        {
+          S.commitment;
+          challenge = challenge commitment;
+          response =
+            (if shift_response then G.scalar_add sg.S.response delta
+             else sg.S.response);
+        }
+      in
+      (* the recomputed hash is the one [verify] checks *)
+      G.scalar_equal sg.S.challenge (challenge sg.S.commitment)
+      && not (S.verify pk msg forged))
+
 let suite =
   [
     Alcotest.test_case "sign/verify" `Quick test_sign_verify;
@@ -65,4 +96,5 @@ let suite =
     Alcotest.test_case "pk of sk" `Quick test_public_key_of_secret;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_cross_message_rejected;
+    QCheck_alcotest.to_alcotest prop_rehashed_commitment_rejected;
   ]
