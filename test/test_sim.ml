@@ -58,8 +58,11 @@ let test_engine_rejects_past () =
   Icc_sim.Engine.run e
 
 let make_net ?(n = 4) ?(delay = 0.1) () =
-  let env = Icc_sim.Transport.env ~n () in
-  let net = Icc_sim.Transport.network_of env ~delay_model:(Fixed delay) () in
+  let rng = Icc_sim.Rng.create 0 in
+  let env =
+    Icc_sim.Transport.env ~rng ~net_rng:rng ~delay:(Fixed_delay delay) ~n ()
+  in
+  let net = Icc_sim.Transport.network_of env in
   (env.Icc_sim.Transport.engine, env.Icc_sim.Transport.metrics, net)
 
 let test_network_broadcast_delivery () =
