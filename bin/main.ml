@@ -96,10 +96,6 @@ let print_monitor_report = function
   | None -> ()
   | Some m -> print_endline (Icc_sim.Monitor.report m)
 
-let monitor_ok = function
-  | None -> true
-  | Some m -> Icc_sim.Monitor.ok m
-
 (* Abort carries the event-indexed diagnosis; turn it into a clean exit. *)
 let with_monitor_abort f =
   try f ()
@@ -367,22 +363,14 @@ let run_cmd =
         (String.concat ", "
            (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) ops));
     print_monitor_report r.Icc_core.Runner.monitor;
-    (* One-line verdict from the global Check oracles (and the online
-       monitor when attached). *)
+    (* One-line verdict: P1 from the notarization milestones, safety from
+       the run's monitor. *)
     let mark ok = if ok then "\xe2\x9c\x93" else "\xe2\x9c\x97" in
-    let all_ok =
-      r.Icc_core.Runner.p1_ok && r.Icc_core.Runner.p2_ok
-      && r.Icc_core.Runner.prefix_ok
-      && monitor_ok r.Icc_core.Runner.monitor
-    in
-    Printf.printf "safety: %s (P1 %s P2 %s prefix %s%s)\n"
+    let all_ok = r.Icc_core.Runner.p1_ok && r.Icc_core.Runner.safety_ok in
+    Printf.printf "safety: %s (P1 %s monitor %s)\n"
       (if all_ok then "ok" else "VIOLATION")
       (mark r.Icc_core.Runner.p1_ok)
-      (mark r.Icc_core.Runner.p2_ok)
-      (mark r.Icc_core.Runner.prefix_ok)
-      (match r.Icc_core.Runner.monitor with
-      | None -> ""
-      | Some m -> " monitor " ^ mark (Icc_sim.Monitor.ok m));
+      (mark r.Icc_core.Runner.safety_ok);
     if not all_ok then exit 1
   in
   Cmd.v
@@ -505,11 +493,7 @@ let baselines_cmd =
     Printf.printf "latency           %.4f s\n" r.Icc_baselines.Harness.mean_latency;
     print_monitor_report r.Icc_baselines.Harness.monitor;
     Printf.printf "safety            %b\n" r.Icc_baselines.Harness.safety_ok;
-    if
-      not
-        (r.Icc_baselines.Harness.safety_ok
-        && monitor_ok r.Icc_baselines.Harness.monitor)
-    then exit 1
+    if not r.Icc_baselines.Harness.safety_ok then exit 1
   in
   Cmd.v
     (Cmd.info "baselines" ~doc:"Run a baseline protocol (PBFT / HotStuff / Tendermint).")

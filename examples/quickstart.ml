@@ -27,7 +27,7 @@ let () =
     result.mean_latency;
   Printf.printf "commands committed    %d (mean latency %.3f s)\n"
     result.commands_committed result.mean_command_latency;
-  Printf.printf "safety (P2 + prefix)  %b\n" result.safety_ok;
+  Printf.printf "safety (monitor)      %b\n" result.safety_ok;
   Printf.printf "deadlock-freeness P1  %b\n" result.p1_ok;
   Printf.printf "total traffic         %.2f MB (%d messages)\n"
     (float_of_int (Icc_sim.Metrics.total_bytes result.metrics) /. 1e6)

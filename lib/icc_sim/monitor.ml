@@ -1,6 +1,7 @@
 (* Online invariant monitor: a trace-bus consumer that incrementally
-   verifies the paper's safety statements while the simulation runs,
-   instead of waiting for Icc_core.Check's post-hoc oracles.
+   verifies the paper's safety statements while the simulation runs.  It
+   is every run's only safety oracle: Transport.env attaches one to each
+   run of all six protocols.
 
    Safety checks (each maps to a paper property, see DESIGN.md §3.2):
      - P2 / conflicting notarization: once any Finalize for round k names

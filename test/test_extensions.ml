@@ -53,6 +53,9 @@ let test_pruned_run_matches_unpruned () =
   Alcotest.(check int) "same rounds decided" plain.Icc_core.Runner.rounds_decided
     pruned.Icc_core.Runner.rounds_decided;
   Alcotest.(check bool) "safety" true pruned.Icc_core.Runner.safety_ok;
+  (* P1 holds for the pruned run too, although pruning has emptied the
+     pools of the rounds it finalized *)
+  Alcotest.(check bool) "P1" true pruned.Icc_core.Runner.p1_ok;
   Alcotest.(check (float 1e-12)) "same latency"
     plain.Icc_core.Runner.mean_latency pruned.Icc_core.Runner.mean_latency;
   (* identical committed chains *)
