@@ -160,18 +160,16 @@ let on_wire t ~dst ~src w =
         if Icc_core.Message.is_resync msg then t.deliver_up ~dst msg
         else acquire t ~party:dst ~from_peer:src id msg
 
-let create ~engine ~trace ~n ~rng ~delay_model ?(async_until = 0.) ?fault
-    ?adversary ~fanout ~is_active ~deliver_up () =
-  let net =
-    Icc_sim.Transport.network ~engine ~n ~trace ~delay_model ~async_until
-      ?fault ?adversary ()
-  in
+let create ~(env : Icc_sim.Transport.env) ~rng ~fanout ~is_active
+    ~deliver_up () =
+  let n = env.n in
+  let net = Icc_sim.Transport.network_of env in
   let t =
     {
       n;
       fanout;
-      engine;
-      trace;
+      engine = env.engine;
+      trace = env.trace;
       net;
       peers = build_peer_graph rng ~n ~fanout;
       known = Array.init (n + 1) (fun _ -> Hashtbl.create 64);

@@ -24,23 +24,18 @@ val build_peer_graph : Icc_sim.Rng.t -> n:int -> fanout:int -> int list array
 val artifact_id_of : Icc_core.Message.t -> artifact_id
 
 val create :
-  engine:Icc_sim.Engine.t ->
-  trace:Icc_sim.Trace.t ->
-  n:int ->
+  env:Icc_sim.Transport.env ->
   rng:Icc_sim.Rng.t ->
-  delay_model:Icc_sim.Network.delay_model ->
-  ?async_until:float ->
-  ?fault:Icc_sim.Fault.t ->
-  ?adversary:Icc_sim.Adversary.t ->
   fanout:int ->
   is_active:(int -> bool) ->
   deliver_up:(dst:int -> Icc_core.Message.t -> unit) ->
   unit ->
   t
-(** The underlying network announces every wire message on [trace];
-    gossip-layer publish/request/acquire events (with artifact ids) are
-    emitted when a detail subscriber is present.  [async_until > 0] holds
-    all traffic until that simulated time. *)
+(** The underlying network is [env]'s ({!Icc_sim.Transport.network_of}):
+    it announces every wire message on the env's bus and applies its
+    asynchrony hold, nemesis and adversary.  Gossip-layer
+    publish/request/acquire events (with artifact ids) are emitted when a
+    detail subscriber is present. *)
 
 val publish : t -> src:int -> Icc_core.Message.t -> unit
 (** The protocol's "broadcast": inject an artifact at [src].  The publisher

@@ -9,13 +9,7 @@
 let transport () : Icc_core.Runner.transport =
  fun ctx ->
   let rbc =
-    Rbc.create ~engine:ctx.Icc_core.Runner.tr_engine
-      ~trace:ctx.Icc_core.Runner.tr_trace ~n:ctx.Icc_core.Runner.tr_n
-      ~t:ctx.Icc_core.Runner.tr_t
-      ~delay_model:ctx.Icc_core.Runner.tr_delay_model
-      ~async_until:ctx.Icc_core.Runner.tr_async_until
-      ?fault:ctx.Icc_core.Runner.tr_fault
-      ?adversary:ctx.Icc_core.Runner.tr_adversary
+    Rbc.create ~env:ctx.Icc_core.Runner.tr_env ~t:ctx.Icc_core.Runner.tr_t
       ~is_active:ctx.Icc_core.Runner.tr_is_active
       ~deliver_up:ctx.Icc_core.Runner.tr_deliver
       ~system:ctx.Icc_core.Runner.tr_system ~keys:ctx.Icc_core.Runner.tr_keys

@@ -271,20 +271,17 @@ let on_frag t ~dst (f : frag) =
     end
   end
 
-let create ~engine ~trace ~n ~t:t_corrupt ~delay_model ~async_until ?fault
-    ?adversary ~is_active ~deliver_up ~system ~keys () =
-  let net =
-    Icc_sim.Transport.network ~engine ~n ~trace ~delay_model ~async_until
-      ?fault ?adversary ()
-  in
+let create ~(env : Icc_sim.Transport.env) ~t:t_corrupt ~is_active ~deliver_up
+    ~system ~keys () =
+  let net = Icc_sim.Transport.network_of env in
   let t =
     {
-      n;
+      n = env.n;
       k = t_corrupt + 1;
       system;
       keys;
-      engine;
-      trace;
+      engine = env.engine;
+      trace = env.trace;
       net;
       instances = Hashtbl.create 256;
       echo_budget = Hashtbl.create 256;

@@ -31,14 +31,8 @@ val serialize : Icc_core.Message.t -> string
 val deserialize : string -> Icc_core.Message.t option
 
 val create :
-  engine:Icc_sim.Engine.t ->
-  trace:Icc_sim.Trace.t ->
-  n:int ->
+  env:Icc_sim.Transport.env ->
   t:int ->
-  delay_model:Icc_sim.Network.delay_model ->
-  async_until:float ->
-  ?fault:Icc_sim.Fault.t ->
-  ?adversary:Icc_sim.Adversary.t ->
   is_active:(int -> bool) ->
   deliver_up:(dst:int -> Icc_core.Message.t -> unit) ->
   system:Icc_crypto.Keygen.system ->

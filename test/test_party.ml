@@ -10,7 +10,7 @@ let lossy_transport ~drop : Icc_core.Runner.transport =
     Icc_core.Runner.tx_broadcast =
       (fun ~src msg ->
         (* emulate per-destination sending so the filter can apply *)
-        for dst = 1 to ctx.Icc_core.Runner.tr_n do
+        for dst = 1 to ctx.Icc_core.Runner.tr_env.Icc_sim.Transport.n do
           if not (drop ~src ~dst msg) then
             inner.Icc_core.Runner.tx_unicast ~src ~dst msg
         done);
