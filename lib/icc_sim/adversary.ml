@@ -266,6 +266,8 @@ let corrupted t =
   Hashtbl.fold (fun p () acc -> p :: acc) t.corrupt []
   |> List.sort Int.compare
 
+let is_corrupted t p = Hashtbl.mem t.corrupt p
+
 (* --- JSON scripts ------------------------------------------------------- *)
 
 exception Script_error of string

@@ -163,6 +163,9 @@ val corrupted : t -> int list
 (** Every party corrupted so far (static and adaptively activated),
     ascending — the runner subtracts these from the honest set. *)
 
+val is_corrupted : t -> int -> bool
+(** [is_corrupted t p]: [p] is in {!corrupted} (constant time). *)
+
 (** {1 Script files} *)
 
 exception Script_error of string

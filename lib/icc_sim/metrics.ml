@@ -209,6 +209,12 @@ let proposal_time t round = Hashtbl.find_opt t.proposal_by_round round
 let notarization_time t round = Hashtbl.find_opt t.notarization_by_round round
 let finalization_time t round = Hashtbl.find_opt t.finalization_by_round round
 
+let notarized_through t limit =
+  let rec from r =
+    r > limit || (Hashtbl.mem t.notarization_by_round r && from (r + 1))
+  in
+  from 1
+
 let mean = function
   | [] -> nan
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)

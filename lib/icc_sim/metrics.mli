@@ -48,6 +48,10 @@ val proposal_time : t -> int -> float option
 val notarization_time : t -> int -> float option
 val finalization_time : t -> int -> float option
 
+val notarized_through : t -> int -> bool
+(** [notarized_through t r]: every round [1..r] has a notarization
+    milestone (vacuously true for [r <= 0]) — P1 (§3) up to round [r]. *)
+
 val max_round : t -> int
 (** Highest round seen in any milestone. *)
 

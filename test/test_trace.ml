@@ -140,6 +140,26 @@ let test_metrics_via_trace () =
     (Icc_sim.Metrics.latencies m);
   Alcotest.(check int) "max round" 1 (Icc_sim.Metrics.max_round m)
 
+(* P1 as the runner judges it: no gap in the notarization milestones up to
+   a horizon.  Round 3 is missing, so the check holds up to 2 and fails
+   from 3 on; an empty horizon holds vacuously. *)
+let test_metrics_notarized_through () =
+  let tr = Icc_sim.Trace.create () in
+  let m = Icc_sim.Metrics.create 4 in
+  Icc_sim.Metrics.attach m tr;
+  List.iter
+    (fun round ->
+      Icc_sim.Trace.emit tr ~time:(float_of_int round)
+        (Icc_sim.Trace.Notarize { party = 1; round; block = "ab" }))
+    [ 1; 2; 4 ];
+  List.iter
+    (fun (limit, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "notarized through %d" limit)
+        expected
+        (Icc_sim.Metrics.notarized_through m limit))
+    [ (0, true); (2, true); (3, false); (4, false) ]
+
 let test_metrics_first_event_wins () =
   let tr = Icc_sim.Trace.create () in
   let m = Icc_sim.Metrics.create 4 in
@@ -433,6 +453,8 @@ let suite =
     Alcotest.test_case "core/detail level assignment" `Quick test_levels;
     Alcotest.test_case "metrics driven through the bus" `Quick
       test_metrics_via_trace;
+    Alcotest.test_case "P1 fails on a notarization gap" `Quick
+      test_metrics_notarized_through;
     Alcotest.test_case "per-round milestones keep first event" `Quick
       test_metrics_first_event_wins;
     Alcotest.test_case "percentile edge cases" `Quick
