@@ -355,13 +355,23 @@ let run_cmd =
       (float_of_int
          (Icc_sim.Metrics.max_bytes_per_party r.Icc_core.Runner.metrics)
       /. 1e6);
-    (* Crypto-op totals from the registry-backed counters (satellite of
-       the observability pass: `icc run` always ends with this line). *)
+    (* Crypto-op totals from the registry-backed counters (`icc run`
+       always ends with this line).  Verifies are the executed ones; the
+       run's verdict memo answered the memo hits, and executed + hits is
+       what the parties were charged (one check per receipt). *)
     let ops = List.filter (fun (_, v) -> v > 0) (Icc_crypto.Counters.snapshot ()) in
+    let is_hits (name, _) = String.ends_with ~suffix:"_memo_hits" name in
+    let show (name, v) =
+      match String.split_on_char '_' name with
+      | [ kind; "verifies" ] when List.mem_assoc (kind ^ "_memo_hits") ops ->
+          let h = List.assoc (kind ^ "_memo_hits") ops in
+          Printf.sprintf "%s %d (+%d memo hits = %d charged)" name v h (v + h)
+      | _ -> Printf.sprintf "%s %d" name v
+    in
     if ops <> [] then
       Printf.printf "crypto ops          %s\n"
         (String.concat ", "
-           (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) ops));
+           (List.map show (List.filter (fun op -> not (is_hits op)) ops)));
     print_monitor_report r.Icc_core.Runner.monitor;
     (* One-line verdict: P1 from the notarization milestones, safety from
        the run's monitor. *)

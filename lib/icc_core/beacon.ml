@@ -48,17 +48,18 @@ let permutation_of_randomness ~n rand =
   Icc_sim.Rng.shuffle_in_place rng arr;
   arr
 
+(* A share's check against [msg], through the run's verdict memo. *)
+let verify_share t msg share =
+  Icc_crypto.Threshold_vuf.verify_share
+    ~check:(Icc_crypto.Verdicts.dleq t.system.Icc_crypto.Keygen.verdicts)
+    t.system.Icc_crypto.Keygen.beacon msg share
+
 (* The share verifier for a round, available once R_{round-1} is known.
    Returns [None] for rounds below 1 (a Byzantine peer controls the wire
    round number) and while the previous beacon is unknown. *)
 let share_verifier t round =
   if round < 1 then None
-  else
-    Option.map
-      (fun msg share ->
-        Icc_crypto.Threshold_vuf.verify_share t.system.Icc_crypto.Keygen.beacon
-          msg share)
-      (message_for_round t round)
+  else Option.map (verify_share t) (message_for_round t round)
 
 (* Attempt to compute R_round from the pool's shares.  Each share is
    verified at most once (the pool marks survivors and evicts garbage, so
@@ -75,8 +76,7 @@ let try_compute t pool round =
     | Some msg -> (
         let params = t.system.Icc_crypto.Keygen.beacon in
         let shares =
-          Pool.verified_beacon_shares pool ~round
-            ~verify:(Icc_crypto.Threshold_vuf.verify_share params msg)
+          Pool.verified_beacon_shares pool ~round ~verify:(verify_share t msg)
         in
         if
           List.length shares

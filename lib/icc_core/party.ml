@@ -156,6 +156,11 @@ let sign_finalization_share p ~(block : Block.t) =
           p.keys.Icc_crypto.Keygen.final_key text;
     }
 
+(* The combines re-check admission-verified shares through the run's
+   verdict memo, so each re-check is a lookup. *)
+let schnorr_check p =
+  Icc_crypto.Verdicts.schnorr p.env.system.Icc_crypto.Keygen.verdicts
+
 let emit p ev =
   Icc_sim.Trace.emit p.env.trace ~time:(Icc_sim.Engine.now p.env.engine) ev
 
@@ -339,18 +344,22 @@ and try_start_round p =
           Icc_sim.Adversary.withholds a ~now:nowt ~party:p.id ~round:p.round
             Icc_sim.Adversary.Final);
     emit p (Icc_sim.Trace.Round_entry { party = p.id; round = p.round });
-    broadcast_beacon_share p ~round:(p.round + 1);
-    (* Timer for our own proposal delay. *)
-    (if not (p.behavior.never_propose || p.adv_equivocate) then
-       let round = p.round in
-       let delay = prop_delay p (my_rank p) in
-       Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
-           if p.round = round then step p));
-    (if p.adv_equivocate then
-       let round = p.round in
-       let delay = prop_delay p (my_rank p) in
-       Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
-           if p.round = round then equivocating_propose p));
+    (* Under gossip the share's self-delivery is synchronous: it re-enters
+       [step], which may finish this round (and start the next) before the
+       broadcast returns.  So the round, our rank in it and the adversary
+       latch are read first, and a round left that way arms no timers. *)
+    let round = p.round and equivocate = p.adv_equivocate in
+    let delay = prop_delay p (my_rank p) in
+    broadcast_beacon_share p ~round:(round + 1);
+    if p.round = round then begin
+      (* Timer for our own proposal delay. *)
+      if not (p.behavior.never_propose || equivocate) then
+        Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
+            if p.round = round then step p);
+      if equivocate then
+        Icc_sim.Engine.schedule p.env.engine ~delay (fun () ->
+            if p.round = round then equivocating_propose p)
+    end;
     true
   end
   else false
@@ -371,8 +380,8 @@ and condition_a p =
                 ~proposer:b.Block.proposer ~block_hash
             in
             match
-              Icc_crypto.Multisig.combine p.env.system.Icc_crypto.Keygen.notary
-                text shares
+              Icc_crypto.Multisig.combine ~check:(schnorr_check p)
+                p.env.system.Icc_crypto.Keygen.notary text shares
             with
             | None ->
                 (* Shares were verified on admission, so combining at quorum
@@ -534,8 +543,8 @@ and finalization_pass p =
                 ~proposer:b.Block.proposer ~block_hash
             in
             match
-              Icc_crypto.Multisig.combine p.env.system.Icc_crypto.Keygen.final
-                text shares
+              Icc_crypto.Multisig.combine ~check:(schnorr_check p)
+                p.env.system.Icc_crypto.Keygen.final text shares
             with
             | None ->
                 (* As in condition (a): impossible over admission-verified

@@ -398,6 +398,9 @@ let add_block t (b : Block.t) =
       true
     end
 
+(* Schnorr checks go through the run's verdict memo. *)
+let schnorr t = Icc_crypto.Verdicts.schnorr t.system.Icc_crypto.Keygen.verdicts
+
 let add_authenticator t ~round ~proposer ~block_hash signature =
   Icc_obs.Profile.span "pool.admit" @@ fun () ->
   if round < t.pruned_below || round < 0 then false
@@ -409,7 +412,7 @@ let add_authenticator t ~round ~proposer ~block_hash signature =
         if
           proposer >= 1
           && proposer <= t.system.Icc_crypto.Keygen.n
-          && Icc_crypto.Schnorr.verify
+          && schnorr t
                t.system.Icc_crypto.Keygen.auth_pub.(proposer - 1)
                (Types.authenticator_text ~round ~proposer ~block_hash)
                signature
@@ -424,7 +427,7 @@ let add_authenticator t ~round ~proposer ~block_hash signature =
         else false
 
 let verify_cert t ~text (c : Types.cert) =
-  Icc_crypto.Multisig.verify
+  Icc_crypto.Multisig.verify ~check:(schnorr t)
     (match text with
     | `Notarization ->
         t.system.Icc_crypto.Keygen.notary
@@ -509,7 +512,8 @@ let add_share t ~kind (s : Types.share_msg) =
             && ss_mem ss signer)
   in
   if already then false
-  else if Icc_crypto.Multisig.verify_share params text share then begin
+  else if Icc_crypto.Multisig.verify_share ~check:(schnorr t) params text share
+  then begin
     let slot = claim t round in
     let e = find_or_create_entry slot s.Types.s_block_hash in
     let ss =

@@ -9,8 +9,10 @@
 let sha256_digests = Icc_obs.Registry.counter "sha256_digests"
 let schnorr_signs = Icc_obs.Registry.counter "schnorr_signs"
 let schnorr_verifies = Icc_obs.Registry.counter "schnorr_verifies"
+let schnorr_memo_hits = Icc_obs.Registry.counter "schnorr_memo_hits"
 let dleq_proves = Icc_obs.Registry.counter "dleq_proves"
 let dleq_verifies = Icc_obs.Registry.counter "dleq_verifies"
+let dleq_memo_hits = Icc_obs.Registry.counter "dleq_memo_hits"
 let pow_generic = Icc_obs.Registry.counter "pow_generic"
 let pow_fixed_base = Icc_obs.Registry.counter "pow_fixed_base"
 let fixed_base_tables = Icc_obs.Registry.counter "fixed_base_tables"
@@ -22,8 +24,10 @@ let all =
     ("sha256_digests", sha256_digests);
     ("schnorr_signs", schnorr_signs);
     ("schnorr_verifies", schnorr_verifies);
+    ("schnorr_memo_hits", schnorr_memo_hits);
     ("dleq_proves", dleq_proves);
     ("dleq_verifies", dleq_verifies);
+    ("dleq_memo_hits", dleq_memo_hits);
     ("pow_generic", pow_generic);
     ("pow_fixed_base", pow_fixed_base);
     ("fixed_base_tables", fixed_base_tables);

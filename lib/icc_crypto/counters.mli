@@ -11,9 +11,23 @@
 
 val sha256_digests : Icc_obs.Registry.counter
 val schnorr_signs : Icc_obs.Registry.counter
+
 val schnorr_verifies : Icc_obs.Registry.counter
+(** Schnorr verifications actually executed. *)
+
+val schnorr_memo_hits : Icc_obs.Registry.counter
+(** Schnorr checks answered by a run's {!Verdicts} memo instead.  A check
+    is charged to the party that asks for it either way, so the per-party
+    op count is [schnorr_verifies + schnorr_memo_hits]. *)
+
 val dleq_proves : Icc_obs.Registry.counter
+
 val dleq_verifies : Icc_obs.Registry.counter
+(** DLEQ verifications actually executed. *)
+
+val dleq_memo_hits : Icc_obs.Registry.counter
+(** DLEQ checks answered by a run's {!Verdicts} memo; charged DLEQ checks
+    are [dleq_verifies + dleq_memo_hits]. *)
 
 val pow_generic : Icc_obs.Registry.counter
 (** Group exponentiations via generic square-and-multiply. *)

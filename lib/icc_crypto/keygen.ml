@@ -12,6 +12,9 @@ type system = {
   notary : Multisig.params;
   final : Multisig.params;
   beacon : Threshold_vuf.params;
+  verdicts : Verdicts.t;
+      (* the run's verify-once memo: one per [generate], so every party of
+         the run shares it and no verdict outlives the run *)
 }
 
 type party_keys = {
@@ -39,6 +42,7 @@ let generate ~n ~t rand_bits =
       notary;
       final;
       beacon;
+      verdicts = Verdicts.create ~n;
     }
   in
   let keys =

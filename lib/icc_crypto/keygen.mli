@@ -8,6 +8,9 @@ type system = {
   notary : Multisig.params;
   final : Multisig.params;
   beacon : Threshold_vuf.params;
+  verdicts : Verdicts.t;
+      (** The run's verify-once memo.  Each {!generate} call makes a fresh
+          one, shared by every party holding this system. *)
 }
 
 type party_keys = {

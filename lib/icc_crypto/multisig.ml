@@ -30,6 +30,8 @@ type signature = {
   signatures : Schnorr.signature list; (* aligned with signers *)
 }
 
+type schnorr_check = Schnorr.public_key -> string -> Schnorr.signature -> bool
+
 let setup ~threshold_h ~n rand_bits =
   if not (threshold_h >= 1 && threshold_h <= n) then
     invalid_arg "Multisig.setup: need 1 <= h <= n";
@@ -49,32 +51,37 @@ let setup ~threshold_h ~n rand_bits =
 let sign_share _params { owner; key } msg =
   { signer = owner; signature = Schnorr.sign key msg }
 
-let verify_share params msg { signer; signature } =
+(* [check] is the Schnorr check each share goes through: the pure
+   {!Schnorr.verify} by default, or a run's {!Verdicts.schnorr}. *)
+let verify_share ?(check : schnorr_check = Schnorr.verify) params msg
+    { signer; signature } =
   signer >= 1 && signer <= params.n
-  && Schnorr.verify params.public_keys.(signer - 1) msg signature
+  && check params.public_keys.(signer - 1) msg signature
 
-let combine params msg shares : signature option =
-  Icc_obs.Profile.span "crypto.multisig_combine" @@ fun () ->
-  (* Filter before deduplicating so a forged share cannot evict a genuine
-     one bearing the same signer index. *)
-  let valid =
-    List.filter (verify_share params msg) shares
-    |> List.sort_uniq (fun a b -> compare a.signer b.signer)
-  in
-  if List.length valid < params.threshold_h then None
+(* Dedupe by signer and require a quorum. *)
+let select params shares : signature option =
+  let uniq = List.sort_uniq (fun a b -> compare a.signer b.signer) shares in
+  if List.length uniq < params.threshold_h then None
   else
     Some
       {
-        signers = List.map (fun s -> s.signer) valid;
-        signatures = List.map (fun s -> s.signature) valid;
+        signers = List.map (fun s -> s.signer) uniq;
+        signatures = List.map (fun s -> s.signature) uniq;
       }
 
-let verify params msg { signers; signatures } =
+let combine ?check params msg shares : signature option =
+  Icc_obs.Profile.span "crypto.multisig_combine" @@ fun () ->
+  (* Filter before deduplicating so a forged share cannot evict a genuine
+     one bearing the same signer index. *)
+  select params (List.filter (verify_share ?check params msg) shares)
+
+let verify ?check params msg { signers; signatures } =
   List.length signers >= params.threshold_h
   && List.length signers = List.length signatures
   && List.sort_uniq compare signers = signers
   && List.for_all2
-       (fun signer signature -> verify_share params msg { signer; signature })
+       (fun signer signature ->
+         verify_share ?check params msg { signer; signature })
        signers signatures
 [@@icc.domain_entry]
 

@@ -29,13 +29,19 @@ type signature = {
 
 val setup : threshold_h:int -> n:int -> (unit -> int) -> params * secret list
 val sign_share : params -> secret -> string -> share
-val verify_share : params -> string -> share -> bool
 
-val combine : params -> string -> share list -> signature option
+type schnorr_check = Schnorr.public_key -> string -> Schnorr.signature -> bool
+(** How each share's signature is checked: {!Schnorr.verify} (the
+    default) or a run's memoised {!Verdicts.schnorr}. *)
+
+val verify_share : ?check:schnorr_check -> params -> string -> share -> bool
+
+val combine :
+  ?check:schnorr_check -> params -> string -> share list -> signature option
 (** [None] when fewer than [threshold_h] distinct valid shares remain after
     filtering invalid and duplicate ones. *)
 
-val verify : params -> string -> signature -> bool
+val verify : ?check:schnorr_check -> params -> string -> signature -> bool
 
 val share_wire_size : int
 val signature_wire_size : params -> int

@@ -41,6 +41,10 @@ type signature = {
   certificate : signature_share list; (* exactly t+1 verified shares *)
 }
 
+type dleq_check =
+  base1:Group.elt -> base2:Group.elt -> a:Group.elt -> b:Group.elt ->
+  Dleq.proof -> bool
+
 let setup ~threshold_t ~n rand_bits =
   if not (threshold_t >= 0 && threshold_t < n) then
     invalid_arg "Threshold_vuf.setup: need 0 <= t < n";
@@ -75,11 +79,14 @@ let sign_share _params { owner; sk_i } msg : signature_share =
     proof = Dleq.prove ~base1:Group.generator ~base2:base ~exponent:sk_i ~msg_tag:msg;
   }
 
-let verify_share params msg (share : signature_share) =
+(* [check] is the DLEQ check: the pure {!Dleq.verify} by default, or a
+   run's {!Verdicts.dleq}. *)
+let verify_share ?(check : dleq_check = Dleq.verify) params msg
+    (share : signature_share) =
   share.signer >= 1 && share.signer <= params.n
   &&
   let base = message_point msg in
-  Dleq.verify ~base1:Group.generator ~base2:base
+  check ~base1:Group.generator ~base2:base
     ~a:params.verification_keys.(share.signer - 1)
     ~b:share.value share.proof
 

@@ -32,7 +32,14 @@ val setup : threshold_t:int -> n:int -> (unit -> int) -> params * secret_share l
 (** Trusted-dealer key generation. *)
 
 val sign_share : params -> secret_share -> string -> signature_share
-val verify_share : params -> string -> signature_share -> bool
+type dleq_check =
+  base1:Group.elt -> base2:Group.elt -> a:Group.elt -> b:Group.elt ->
+  Dleq.proof -> bool
+(** How a share's proof is checked: {!Dleq.verify} (the default) or a
+    run's memoised {!Verdicts.dleq}. *)
+
+val verify_share :
+  ?check:dleq_check -> params -> string -> signature_share -> bool
 
 val combine : params -> string -> signature_share list -> signature option
 (** Returns [None] when fewer than [t+1] distinct valid shares are given;

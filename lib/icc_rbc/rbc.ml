@@ -176,7 +176,7 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
 let frag_valid t (f : frag) =
   f.f_proposer >= 1 && f.f_proposer <= t.n
   && f.f_index >= 0 && f.f_index < t.n
-  && Icc_crypto.Schnorr.verify
+  && Icc_crypto.Verdicts.schnorr t.system.Icc_crypto.Keygen.verdicts
        t.system.Icc_crypto.Keygen.auth_pub.(f.f_proposer - 1)
        (root_text ~round:f.f_round ~proposer:f.f_proposer f.f_root)
        f.f_sig

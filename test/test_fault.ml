@@ -271,6 +271,30 @@ let test_partition_heals_without_crash () =
     true
     (r.Icc_core.Runner.rounds_decided >= 30)
 
+(* ICC1 crash–recover regression.  Gossip hands a publisher its own
+   message synchronously, so the beacon share a party releases on entering
+   a round can re-enter [step] and finish that round before round entry
+   returns; round entry used to read its rank for the new, beacon-less
+   round and raise.  These seeds hit it with party 2 down from 1 s to 3 s. *)
+let test_icc1_crash_recover_regression () =
+  List.iter
+    (fun seed ->
+      let scenario =
+        monitored
+          {
+            (Icc_core.Runner.default_scenario ~n:4 ~seed) with
+            Icc_core.Runner.duration = 5.;
+            nemesis = Some (Icc_sim.Fault.crash_recover ~party:2 ~down:1. ~up:3.);
+          }
+      in
+      let r = Icc_gossip.Icc1.run scenario in
+      let name = Printf.sprintf "icc1 crash-recover seed %d" seed in
+      Alcotest.(check bool) (name ^ ": safety ok") true r.Icc_core.Runner.safety_ok;
+      Alcotest.(check bool) (name ^ ": monitor clean") true (monitor_ok r);
+      Alcotest.(check bool) (name ^ ": live") true
+        (r.Icc_core.Runner.rounds_decided >= 5))
+    [ 3; 6; 7; 8 ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_icc0_safe_under_random_schedules;
@@ -285,4 +309,6 @@ let suite =
       test_determinism_icc2;
     Alcotest.test_case "partition heals via resync" `Quick
       test_partition_heals_without_crash;
+    Alcotest.test_case "icc1 crash-recover, seeds 3 6 7 8" `Quick
+      test_icc1_crash_recover_regression;
   ]

@@ -65,18 +65,42 @@ let traced run scenario =
     Icc_crypto.Sha256.to_hex
       (Icc_crypto.Sha256.digest_string (Buffer.contents buf)) )
 
+let count = Icc_obs.Registry.value
+
+(* Schnorr signs and verifies, DLEQ proves and verifies, so far. *)
+let crypto_ops () =
+  let module C = Icc_crypto.Counters in
+  ( count C.schnorr_signs,
+    count C.schnorr_verifies,
+    count C.dleq_proves,
+    count C.dleq_verifies )
+
 let test_goldens () =
-  let z0 = Icc_obs.Registry.value Icc_crypto.Counters.zero_rederives in
+  let z0 = count Icc_crypto.Counters.zero_rederives in
   List.iter
     (fun (name, run, scenario, rounds, digest) ->
+      let s0, v0, p0, d0 = crypto_ops () in
       let got_rounds, got_digest = traced run scenario in
       Alcotest.(check int) (name ^ ": rounds decided") rounds got_rounds;
-      Alcotest.(check string) (name ^ ": trace sha256") digest got_digest)
+      Alcotest.(check string) (name ^ ": trace sha256") digest got_digest;
+      (* The run's verdict memo checks each signature and proof once, so
+         an all-honest run executes no more verifies than it signs. *)
+      let s1, v1, p1, d1 = crypto_ops () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: schnorr verifies %d <= signs %d" name (v1 - v0)
+           (s1 - s0))
+        true
+        (v1 - v0 <= s1 - s0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: dleq verifies %d <= proves %d" name (d1 - d0)
+           (p1 - p0))
+        true
+        (d1 - d0 <= p1 - p0))
     goldens;
   (* No golden run draws a zero scalar, so the re-derivation branch (whose
      historical 0 -> 1 remap would have shifted these very bytes) is dead
      on every committed scenario. *)
   Alcotest.(check int) "zero_rederives across the golden runs" z0
-    (Icc_obs.Registry.value Icc_crypto.Counters.zero_rederives)
+    (count Icc_crypto.Counters.zero_rederives)
 
 let suite = [ Alcotest.test_case "five n=16 trace digests" `Quick test_goldens ]

@@ -96,6 +96,62 @@ let prop_combine_any_h_subset =
       | Some s -> Icc_crypto.Multisig.verify params msg s
       | None -> false)
 
+(* --- through the run's verdict memo --- *)
+
+(* A notarization share cached by the memo is not a finalization share:
+   the two schemes have different keys, so replaying it under S_final
+   must fail, as must the share under another signer index or message. *)
+let test_memo_notary_share_not_final () =
+  let rng = Icc_sim.Rng.create 0x5e1 in
+  let system, keys =
+    Icc_crypto.Keygen.generate ~n:4 ~t:1 (fun () -> Icc_sim.Rng.bits61 rng)
+  in
+  let module M = Icc_crypto.Multisig in
+  let check = Icc_crypto.Verdicts.schnorr system.Icc_crypto.Keygen.verdicts in
+  let notary = system.Icc_crypto.Keygen.notary
+  and final = system.Icc_crypto.Keygen.final in
+  let share =
+    M.sign_share notary (List.hd keys).Icc_crypto.Keygen.notary_key "m"
+  in
+  Alcotest.(check bool) "notary share cached" true
+    (M.verify_share ~check notary "m" share);
+  Alcotest.(check bool) "replayed under final" false
+    (M.verify_share ~check final "m" share);
+  Alcotest.(check bool) "under another signer index" false
+    (M.verify_share ~check notary "m" { share with M.signer = 2 });
+  Alcotest.(check bool) "under another message" false
+    (M.verify_share ~check notary "m2" share);
+  Alcotest.(check bool) "still a notary share" true
+    (M.verify_share ~check notary "m" share)
+
+(* Combining through the memo filters exactly what the pure path filters
+   and yields the same signature. *)
+let test_memo_combine_matches_pure () =
+  let params, secrets = setup ~h:3 ~n:4 () in
+  let memo = Icc_crypto.Verdicts.create ~n:4 in
+  let check = Icc_crypto.Verdicts.schnorr memo in
+  let shares =
+    List.map (fun sk -> Icc_crypto.Multisig.sign_share params sk "m") secrets
+  in
+  let forged =
+    match shares with
+    | a :: b :: _ -> { a with Icc_crypto.Multisig.signer = b.Icc_crypto.Multisig.signer }
+    | _ -> assert false
+  in
+  let input = forged :: take 3 shares in
+  let pure = Icc_crypto.Multisig.combine params "m" input in
+  Alcotest.(check bool) "same signature, cold memo" true
+    (Icc_crypto.Multisig.combine ~check params "m" input = pure);
+  Alcotest.(check bool) "same signature, warm memo" true
+    (Icc_crypto.Multisig.combine ~check params "m" input = pure);
+  match pure with
+  | None -> Alcotest.fail "combine"
+  | Some s ->
+      Alcotest.(check bool) "certificate verifies through the memo" true
+        (Icc_crypto.Multisig.verify ~check params "m" s);
+      Alcotest.(check bool) "not under another message" false
+        (Icc_crypto.Multisig.verify ~check params "m2" s)
+
 let suite =
   [
     Alcotest.test_case "share verify" `Quick test_share_verify;
@@ -106,4 +162,8 @@ let suite =
       test_verify_rejects_subthreshold_object;
     Alcotest.test_case "cross-message" `Quick test_cross_message_rejected;
     QCheck_alcotest.to_alcotest prop_combine_any_h_subset;
+    Alcotest.test_case "memo: notary share not final" `Quick
+      test_memo_notary_share_not_final;
+    Alcotest.test_case "memo: combine matches pure" `Quick
+      test_memo_combine_matches_pure;
   ]
