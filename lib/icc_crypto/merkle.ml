@@ -16,43 +16,47 @@ let leaf_hash data = Sha256.digest_string ("leaf|" ^ data)
 let node_hash l r =
   Sha256.digest_string ("node|" ^ (l : Sha256.t :> string) ^ (r : Sha256.t :> string))
 
-let root_of_leaves (leaves : string list) : Sha256.t =
-  if leaves = [] then invalid_arg "Merkle.root_of_leaves: empty";
-  let rec up = function
-    | [ h ] -> h
-    | level ->
-        let rec pair = function
-          | l :: r :: rest -> node_hash l r :: pair rest
-          | [ odd ] -> [ odd ]
-          | [] -> []
-        in
-        up (pair level)
+(* The tree bottom-up: [levels.(0)] holds the leaf hashes and the last
+   level the root alone.  Every tree operation reads off this one build. *)
+let levels ~who (leaves : string list) : Sha256.t array array =
+  if leaves = [] then invalid_arg (who ^ ": empty");
+  let rec up acc level =
+    let len = Array.length level in
+    if len = 1 then Array.of_list (List.rev (level :: acc))
+    else
+      up (level :: acc)
+        (Array.init ((len + 1) / 2) (fun j ->
+             if (2 * j) + 1 < len then node_hash level.(2 * j) level.((2 * j) + 1)
+             else level.(2 * j)))
   in
-  up (List.map leaf_hash leaves)
+  up [] (Array.of_list (List.map leaf_hash leaves))
+
+let root_of_levels lv = lv.(Array.length lv - 1).(0)
+
+let proof_of_levels lv index : proof =
+  List.init
+    (Array.length lv - 1)
+    (fun depth ->
+      let level = lv.(depth) and pos = index lsr depth in
+      if pos land 1 = 0 then
+        {
+          sibling =
+            (if pos + 1 < Array.length level then Some level.(pos + 1) else None);
+          left = true;
+        }
+      else { sibling = Some level.(pos - 1); left = false })
+
+let root_of_leaves leaves =
+  root_of_levels (levels ~who:"Merkle.root_of_leaves" leaves)
 
 let prove (leaves : string list) (index : int) : proof =
-  let n = List.length leaves in
-  if index < 0 || index >= n then invalid_arg "Merkle.prove: index out of range";
-  let rec up level pos acc =
-    match level with
-    | [ _ ] -> List.rev acc
-    | _ ->
-        let arr = Array.of_list level in
-        let len = Array.length arr in
-        let step =
-          if pos land 1 = 0 then
-            if pos + 1 < len then { sibling = Some arr.(pos + 1); left = true }
-            else { sibling = None; left = true }
-          else { sibling = Some arr.(pos - 1); left = false }
-        in
-        let rec pair = function
-          | l :: r :: rest -> node_hash l r :: pair rest
-          | [ odd ] -> [ odd ]
-          | [] -> []
-        in
-        up (pair level) (pos / 2) (step :: acc)
-  in
-  up (List.map leaf_hash leaves) index []
+  if index < 0 || index >= List.length leaves then
+    invalid_arg "Merkle.prove: index out of range";
+  proof_of_levels (levels ~who:"Merkle.prove" leaves) index
+
+let prove_all (leaves : string list) : Sha256.t * proof array =
+  let lv = levels ~who:"Merkle.prove_all" leaves in
+  (root_of_levels lv, Array.init (Array.length lv.(0)) (proof_of_levels lv))
 
 let verify ~root ~leaf (proof : proof) : bool =
   let final =

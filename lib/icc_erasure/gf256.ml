@@ -36,6 +36,26 @@ let inv a =
 
 let div a b = if a = 0 then 0 else mul a (inv b)
 
+(* [mul_table.[(a lsl 8) lor b]] is [mul a b]: 64 KiB, built once and
+   never written, so the bulk kernel below is one load per byte with no
+   zero test. *)
+let mul_table = String.init 65536 (fun i -> Char.chr (mul (i lsr 8) (i land 0xff)))
+
+(* dst[dst_off + i] <- dst[dst_off + i] + c * src[src_off + i] for i < len:
+   one row step of a matrix product over byte strings.  The xor of two
+   bytes is a byte, so [Char.unsafe_chr] is exact; [Char.chr] would be an
+   out-of-line call per byte that spills the loop's registers. *)
+let mul_add_into c (src : string) src_off (dst : Bytes.t) dst_off len =
+  if c <> 0 then begin
+    let row = c lsl 8 in
+    for i = 0 to len - 1 do
+      let s = Char.code src.[src_off + i] in
+      let d = Char.code (Bytes.get dst (dst_off + i)) in
+      Bytes.set dst (dst_off + i)
+        (Char.unsafe_chr (d lxor Char.code mul_table.[row lor s]))
+    done
+  end
+
 let pow a e =
   if e < 0 then invalid_arg "Gf256.pow: negative exponent"
   else if a = 0 then if e = 0 then 1 else 0

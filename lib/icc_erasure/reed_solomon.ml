@@ -5,7 +5,8 @@
    interpolates the k data bytes at points 1..k, producing parity at points
    k+1..n.  Fragments are column slices; fragment i (0-based) is the
    evaluation at point i+1.  Decoding inverts the Vandermonde submatrix of
-   the k available points.
+   the k available points.  Both run a whole fragment row at a time through
+   [Gf256.mul_add_into].
 
    Limits: n <= 255 (points must be distinct and nonzero in GF(256)). *)
 
@@ -31,28 +32,34 @@ let encoding_matrix ~k ~n =
   let top_inv = Matrix.invert top in
   Matrix.mul v top_inv
 
+let fragment_size_of ~k data_size = max ((data_size + k - 1) / k) 1
+
+(* Bytes of data fragment [j] actually present in a [data_size]-byte
+   input; the rest of the fragment is zero padding. *)
+let present ~fragment_size ~data_size j =
+  max 0 (min fragment_size (data_size - (j * fragment_size)))
+
 let encode ~k ~n (data : string) : coded =
   if not (k >= 1 && k <= n && n <= 255) then
     invalid_arg "Reed_solomon.encode: need 1 <= k <= n <= 255";
   let data_size = String.length data in
-  let fragment_size = (data_size + k - 1) / k in
-  let fragment_size = max fragment_size 1 in
+  let fragment_size = fragment_size_of ~k data_size in
+  let present = present ~fragment_size ~data_size in
   let e = encoding_matrix ~k ~n in
-  let byte row pos =
-    (* data bytes of fragment [row], zero-padded *)
-    let idx = (row * fragment_size) + pos in
-    if idx < data_size then Char.code data.[idx] else 0
-  in
+  (* Rows 0..k-1 of [e] are the identity: those fragments are slices of
+     the zero-padded data.  Parity row i accumulates e(i,j) * slice j. *)
   let fragments =
     Array.init n (fun i ->
-        let buf = Bytes.create fragment_size in
-        for pos = 0 to fragment_size - 1 do
-          let acc = ref 0 in
+        let buf = Bytes.make fragment_size '\000' in
+        if i < k then begin
+          let len = present i in
+          if len > 0 then Bytes.blit_string data (i * fragment_size) buf 0 len
+        end
+        else
           for j = 0 to k - 1 do
-            acc := Gf256.add !acc (Gf256.mul e.(i).(j) (byte j pos))
+            Gf256.mul_add_into e.(i).(j) data (j * fragment_size) buf 0
+              (present j)
           done;
-          Bytes.set buf pos (Char.chr !acc)
-        done;
         Bytes.unsafe_to_string buf)
   in
   { k; n; fragment_size; data_size; fragments }
@@ -61,7 +68,7 @@ let encode ~k ~n (data : string) : coded =
    pairs with 0-based indices.  Returns [None] on malformed input. *)
 let decode ~k ~n ~data_size (available : (int * string) list) : string option =
   let available = List.sort_uniq (fun (i, _) (j, _) -> compare i j) available in
-  let fragment_size = max ((data_size + k - 1) / k) 1 in
+  let fragment_size = fragment_size_of ~k data_size in
   let usable =
     List.filter
       (fun (i, frag) ->
@@ -77,15 +84,16 @@ let decode ~k ~n ~data_size (available : (int * string) list) : string option =
     match Matrix.invert rows with
     | exception Matrix.Singular -> None
     | inv ->
-        let out = Bytes.create (fragment_size * k) in
-        for pos = 0 to fragment_size - 1 do
-          let v = Array.init k (fun r -> Char.code frags.(r).[pos]) in
-          let decoded = Matrix.mul_vec inv v in
-          for j = 0 to k - 1 do
-            Bytes.set out ((j * fragment_size) + pos) (Char.chr decoded.(j))
+        (* Data fragment j is row j of inv applied to the chosen fragments;
+           only its first [present j] bytes survive truncation. *)
+        let out = Bytes.make data_size '\000' in
+        for j = 0 to k - 1 do
+          let len = present ~fragment_size ~data_size j in
+          for r = 0 to k - 1 do
+            Gf256.mul_add_into inv.(j).(r) frags.(r) 0 out (j * fragment_size) len
           done
         done;
-        Some (Bytes.sub_string out 0 data_size)
+        Some (Bytes.unsafe_to_string out)
 
 (* Deterministic re-encoding check used by the reliable-broadcast protocol:
    encode the reconstructed data again and compare fragments. *)

@@ -43,7 +43,7 @@ type frag = {
 
 type wire = Core of Icc_core.Message.t | Frag of frag
 
-type instance_key = int * int * string (* round, proposer, root hex *)
+type instance_key = int * int * Icc_crypto.Sha256.t (* round, proposer, root *)
 
 type instance = {
   mutable fragments : (int * string) list; (* index, bytes; proof-verified *)
@@ -63,8 +63,8 @@ type t = {
   instances : (int * instance_key, instance) Hashtbl.t; (* keyed by party *)
   echo_budget : (int * int * int, int) Hashtbl.t;
       (* (party, round, proposer) -> instances echoed so far (max 2) *)
-  rbc_delivered : (int * int * string, unit) Hashtbl.t;
-      (* (party, round, block hash hex): blocks this party obtained through
+  rbc_delivered : (int * int * Icc_crypto.Sha256.t, unit) Hashtbl.t;
+      (* (party, round, block hash): blocks this party obtained through
          the RBC, whose totality the fragment echo already guarantees *)
   is_active : int -> bool;
   deliver_up : dst:int -> Icc_core.Message.t -> unit;
@@ -119,8 +119,10 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
   Icc_obs.Profile.span "rbc.disseminate" @@ fun () ->
   let data = serialize msg in
   let coded = Icc_erasure.Reed_solomon.encode ~k:t.k ~n:t.n data in
-  let leaves = Array.to_list coded.Icc_erasure.Reed_solomon.fragments in
-  let root = Icc_crypto.Merkle.root_of_leaves leaves in
+  let root, proofs =
+    Icc_crypto.Merkle.prove_all
+      (Array.to_list coded.Icc_erasure.Reed_solomon.fragments)
+  in
   let round, proposer =
     match msg with
     | Icc_core.Message.Proposal p ->
@@ -141,15 +143,12 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
   in
   let modeled_total = Icc_core.Message.wire_size ~n:t.n msg in
   (* Self-delivery; mark the instance so echoes can't deliver it twice. *)
-  let key = (round, proposer, Icc_crypto.Sha256.to_hex root) in
-  let inst = instance_of t ~party:src key in
+  let inst = instance_of t ~party:src (round, proposer, root) in
   inst.delivered <- true;
   (match msg with
   | Icc_core.Message.Proposal p ->
       Hashtbl.replace t.rbc_delivered
-        ( src,
-          p.p_block.Icc_core.Block.round,
-          Icc_crypto.Sha256.to_hex (Icc_core.Block.hash p.p_block) )
+        (src, p.p_block.Icc_core.Block.round, Icc_core.Block.hash p.p_block)
         ()
   | Icc_core.Message.Notarization_share _ | Icc_core.Message.Notarization _
   | Icc_core.Message.Finalization_share _ | Icc_core.Message.Finalization _
@@ -168,7 +167,7 @@ let disseminate t ~src (msg : Icc_core.Message.t) =
              f_data_size = coded.Icc_erasure.Reed_solomon.data_size;
              f_modeled_total = modeled_total;
              f_bytes = coded.Icc_erasure.Reed_solomon.fragments.(dst - 1);
-             f_proof = Icc_crypto.Merkle.prove leaves (dst - 1);
+             f_proof = proofs.(dst - 1);
              f_sig;
            })
   done
@@ -182,7 +181,7 @@ let frag_valid t (f : frag) =
        f.f_sig
   && Icc_crypto.Merkle.verify ~root:f.f_root ~leaf:f.f_bytes f.f_proof
 
-let try_reconstruct t ~party key (inst : instance) (f : frag) =
+let try_reconstruct t ~party (inst : instance) (f : frag) =
   Icc_obs.Profile.span "rbc.reconstruct" @@ fun () ->
   if (not inst.delivered) && (not inst.bad)
      && List.length inst.fragments >= t.k
@@ -215,7 +214,6 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
                     { party; round = f.f_round; proposer = f.f_proposer })
           | Some msg ->
               inst.delivered <- true;
-              ignore key;
               emit_detail t (fun () ->
                   Icc_sim.Trace.Rbc_reconstruct
                     { party; round = f.f_round; proposer = f.f_proposer });
@@ -224,8 +222,7 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
                   Hashtbl.replace t.rbc_delivered
                     ( party,
                       p.p_block.Icc_core.Block.round,
-                      Icc_crypto.Sha256.to_hex
-                        (Icc_core.Block.hash p.p_block) )
+                      Icc_core.Block.hash p.p_block )
                     ()
               | Icc_core.Message.Notarization_share _
               | Icc_core.Message.Notarization _
@@ -239,10 +236,7 @@ let try_reconstruct t ~party key (inst : instance) (f : frag) =
 
 let on_frag t ~dst (f : frag) =
   if t.is_active dst && frag_valid t f then begin
-    let key =
-      (f.f_round, f.f_proposer, Icc_crypto.Sha256.to_hex f.f_root)
-    in
-    let inst = instance_of t ~party:dst key in
+    let inst = instance_of t ~party:dst (f.f_round, f.f_proposer, f.f_root) in
     if not (List.mem_assoc f.f_index inst.fragments) then begin
       inst.fragments <- (f.f_index, f.f_bytes) :: inst.fragments;
       emit_detail t (fun () ->
@@ -267,7 +261,7 @@ let on_frag t ~dst (f : frag) =
           broadcast_wire t ~src:dst (Frag f)
         end
       end;
-      try_reconstruct t ~party:dst key inst f
+      try_reconstruct t ~party:dst inst f
     end
   end
 
@@ -312,9 +306,7 @@ let tx_broadcast t ~src msg =
       if b.Icc_core.Block.proposer = src then disseminate t ~src msg
       else if
         Hashtbl.mem t.rbc_delivered
-          ( src,
-            b.Icc_core.Block.round,
-            Icc_crypto.Sha256.to_hex (Icc_core.Block.hash b) )
+          (src, b.Icc_core.Block.round, Icc_core.Block.hash b)
       then () (* totality already ensured by the fragment echo *)
       else broadcast_wire t ~src (Core msg)
   | Icc_core.Message.Notarization_share _ | Icc_core.Message.Notarization _

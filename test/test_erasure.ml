@@ -18,6 +18,26 @@ let test_gf_inverses () =
       (Icc_erasure.Gf256.mul a (Icc_erasure.Gf256.inv a))
   done
 
+let test_gf_mul_add_into () =
+  (* Every coefficient against every byte, at an offset into both sides. *)
+  let src = String.init 258 (fun i -> Char.chr ((i + 254) land 0xff)) in
+  for c = 0 to 255 do
+    let dst = Bytes.init 260 (fun i -> Char.chr ((i * 37) land 0xff)) in
+    let before = Bytes.to_string dst in
+    Icc_erasure.Gf256.mul_add_into c src 2 dst 3 256;
+    for i = 0 to 259 do
+      let expected =
+        if i < 3 || i >= 259 then Char.code before.[i]
+        else
+          Icc_erasure.Gf256.add (Char.code before.[i])
+            (Icc_erasure.Gf256.mul c (Char.code src.[i - 1]))
+      in
+      if Char.code (Bytes.get dst i) <> expected then
+        Alcotest.failf "c=%d byte %d: %d <> %d" c i
+          (Char.code (Bytes.get dst i)) expected
+    done
+  done
+
 let prop_gf_field_axioms =
   QCheck.Test.make ~name:"gf256 field axioms" ~count:300
     (QCheck.triple (QCheck.int_bound 255) (QCheck.int_bound 255)
@@ -125,6 +145,88 @@ let prop_rs_roundtrip =
       | Some d -> String.equal d data
       | None -> false)
 
+(* Scalar reference for the row kernels: the per-byte-position loop the
+   coder used to run, one [Matrix.mul_vec] (hence [Gf256.mul]) per byte
+   column.  Lives here only, as an oracle. *)
+let ref_matrix ~k ~n =
+  let v =
+    Icc_erasure.Matrix.vandermonde ~points:(Array.init n (fun i -> i + 1)) ~cols:k
+  in
+  Icc_erasure.Matrix.mul v (Icc_erasure.Matrix.invert (Array.sub v 0 k))
+
+let ref_encode ~k ~n data =
+  let len = String.length data in
+  let fs = max ((len + k - 1) / k) 1 in
+  let e = ref_matrix ~k ~n in
+  let columns =
+    Array.init fs (fun pos ->
+        Icc_erasure.Matrix.mul_vec e
+          (Array.init k (fun j ->
+               let idx = (j * fs) + pos in
+               if idx < len then Char.code data.[idx] else 0)))
+  in
+  Array.init n (fun i -> String.init fs (fun pos -> Char.chr columns.(pos).(i)))
+
+(* [chosen] holds exactly k distinct fragments. *)
+let ref_decode ~k ~n ~data_size chosen =
+  let chosen = List.sort compare chosen in
+  let fs = max ((data_size + k - 1) / k) 1 in
+  let e = ref_matrix ~k ~n in
+  let inv =
+    Icc_erasure.Matrix.invert (Array.of_list (List.map (fun (i, _) -> e.(i)) chosen))
+  in
+  let frags = Array.of_list (List.map snd chosen) in
+  let out = Bytes.create (fs * k) in
+  for pos = 0 to fs - 1 do
+    let col =
+      Icc_erasure.Matrix.mul_vec inv (Array.init k (fun r -> Char.code frags.(r).[pos]))
+    in
+    Array.iteri (fun j b -> Bytes.set out ((j * fs) + pos) (Char.chr b)) col
+  done;
+  Bytes.sub_string out 0 data_size
+
+(* Data sizes 0, 1, a non-multiple of k, and an arbitrary one. *)
+let gen_rs_case =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* k = int_range 1 n in
+    let* size =
+      oneof
+        [
+          return 0;
+          return 1;
+          map2 (fun m r -> (m * k) + r) (int_range 0 12) (int_range 1 (max 1 (k - 1)));
+          int_range 0 600;
+        ]
+    in
+    let* seed = int_bound 0xffff in
+    return (k, n, size, seed))
+
+let prop_rs_matches_scalar_reference =
+  QCheck.Test.make ~name:"reed-solomon = scalar reference" ~count:150
+    (QCheck.make
+       ~print:(fun (k, n, size, seed) ->
+         Printf.sprintf "k=%d n=%d size=%d seed=%d" k n size seed)
+       gen_rs_case)
+    (fun (k, n, size, seed) ->
+      let r = Icc_sim.Rng.create seed in
+      let data = String.init size (fun _ -> Char.chr (Icc_sim.Rng.int r 256)) in
+      let coded = Icc_erasure.Reed_solomon.encode ~k ~n data in
+      let frags = coded.Icc_erasure.Reed_solomon.fragments in
+      let decodes_from idxs =
+        let chosen = List.map (fun i -> (i, frags.(i))) idxs in
+        let got = Icc_erasure.Reed_solomon.decode ~k ~n ~data_size:size chosen in
+        got = Some (ref_decode ~k ~n ~data_size:size chosen) && got = Some data
+      in
+      let shuffled = Array.init n Fun.id in
+      Icc_sim.Rng.shuffle_in_place r shuffled;
+      (* A random (generally mixed) subset, and parity only when n >= 2k. *)
+      let mixed = Array.to_list (Array.sub shuffled 0 k) in
+      let parity_only = List.init k (fun i -> n - k + i) in
+      frags = ref_encode ~k ~n data
+      && decodes_from mixed
+      && ((n < 2 * k) || decodes_from parity_only))
+
 let test_rs_bad_params () =
   Alcotest.check_raises "k > n"
     (Invalid_argument "Reed_solomon.encode: need 1 <= k <= n <= 255")
@@ -134,6 +236,7 @@ let suite =
   [
     Alcotest.test_case "gf tables" `Quick test_gf_tables;
     Alcotest.test_case "gf inverses" `Quick test_gf_inverses;
+    Alcotest.test_case "gf mul_add_into" `Quick test_gf_mul_add_into;
     QCheck_alcotest.to_alcotest prop_gf_field_axioms;
     Alcotest.test_case "matrix invert" `Quick test_matrix_invert_roundtrip;
     Alcotest.test_case "matrix singular" `Quick test_matrix_singular;
@@ -143,5 +246,6 @@ let suite =
     Alcotest.test_case "rs duplicates" `Quick test_rs_duplicate_fragments_dont_count;
     Alcotest.test_case "rs reencode check" `Quick test_rs_reencode_check;
     QCheck_alcotest.to_alcotest prop_rs_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rs_matches_scalar_reference;
     Alcotest.test_case "rs bad params" `Quick test_rs_bad_params;
   ]

@@ -45,6 +45,53 @@ let test_out_of_range () =
   Alcotest.check_raises "range" (Invalid_argument "Merkle.prove: index out of range")
     (fun () -> ignore (Icc_crypto.Merkle.prove (leaves 3) 3))
 
+let flip_bit (d : Icc_crypto.Sha256.t) =
+  let raw = Bytes.of_string (d :> string) in
+  Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
+  Icc_crypto.Sha256.of_raw (Bytes.to_string raw)
+
+(* The proof with its lowest sibling corrupted; [None] if it has none. *)
+let rec flip_first_sibling : Icc_crypto.Merkle.proof -> _ = function
+  | [] -> None
+  | ({ sibling = Some s; _ } as step) :: rest ->
+      Some ({ step with sibling = Some (flip_bit s) } :: rest)
+  | step :: rest -> Option.map (List.cons step) (flip_first_sibling rest)
+
+(* [prove_all] reads every proof off one tree; it must agree with the
+   per-leaf [root_of_leaves] / [prove] at every size, odd promotions
+   included. *)
+let test_prove_all_matches_prove () =
+  for n = 1 to 40 do
+    let ls = leaves n in
+    let root, proofs = Icc_crypto.Merkle.prove_all ls in
+    Alcotest.(check string)
+      (Printf.sprintf "n=%d root" n)
+      (Icc_crypto.Sha256.to_hex (Icc_crypto.Merkle.root_of_leaves ls))
+      (Icc_crypto.Sha256.to_hex root);
+    Alcotest.(check int) (Printf.sprintf "n=%d proof count" n) n
+      (Array.length proofs);
+    List.iteri
+      (fun i leaf ->
+        let name = Printf.sprintf "n=%d i=%d" n i in
+        Alcotest.(check bool)
+          (name ^ " = prove") true
+          (proofs.(i) = Icc_crypto.Merkle.prove ls i);
+        Alcotest.(check bool)
+          (name ^ " verifies") true
+          (Icc_crypto.Merkle.verify ~root ~leaf proofs.(i));
+        match flip_first_sibling proofs.(i) with
+        | None -> Alcotest.(check int) (name ^ " no sibling only at n=1") 1 n
+        | Some bad ->
+            Alcotest.(check bool)
+              (name ^ " flipped sibling rejected") false
+              (Icc_crypto.Merkle.verify ~root ~leaf bad))
+      ls
+  done
+
+let test_prove_all_empty () =
+  Alcotest.check_raises "empty" (Invalid_argument "Merkle.prove_all: empty")
+    (fun () -> ignore (Icc_crypto.Merkle.prove_all []))
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"merkle roundtrip" ~count:60
     (QCheck.pair (QCheck.int_range 1 40) QCheck.small_string) (fun (n, salt) ->
@@ -64,5 +111,7 @@ let suite =
     Alcotest.test_case "distinct roots" `Quick test_distinct_roots;
     Alcotest.test_case "empty" `Quick test_empty_rejected;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
+    Alcotest.test_case "prove_all = prove" `Quick test_prove_all_matches_prove;
+    Alcotest.test_case "prove_all empty" `Quick test_prove_all_empty;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]
