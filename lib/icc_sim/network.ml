@@ -74,10 +74,13 @@ let deliver_self t ~src msg =
    tracing; the nemesis (when installed) is consulted exactly once per
    transmission, also independent of hold state.
 
-   Event batching happens below this layer: the engine's queue is a
-   calendar of per-timestamp buckets, so the n-1 same-release deliveries
-   of a broadcast under a fixed-delay model cost one heap entry total —
-   each call here is an O(1) bucket append, not an O(log events) push. *)
+   Event batching happens below this layer: the engine queues runs of
+   consecutive same-time schedules.  Under a fixed-delay model the n-1
+   same-release deliveries of a broadcast cost at most two heap pushes
+   (the sender's zero-delay self copy, scheduled mid-loop, splits the
+   burst) and each other call here is an O(1) append.  A delivery whose
+   time differs from the previous schedule's, as under a WAN matrix,
+   opens a run of its own: one heap push and one pop, no hashing. *)
 let transmit t ~src ~dst ~size ~kind msg =
   Icc_obs.Profile.span "net.transmit" @@ fun () ->
   let now = Engine.now t.engine in

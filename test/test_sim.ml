@@ -1,4 +1,4 @@
-(* Simulator substrate tests: rng, heap, engine, network, metrics. *)
+(* Simulator substrate tests: rng, engine, network, metrics. *)
 
 let test_rng_deterministic () =
   let a = Icc_sim.Rng.create 42 and b = Icc_sim.Rng.create 42 in
@@ -21,9 +21,14 @@ let test_rng_shuffle_permutes () =
     (List.init 20 Fun.id)
     (List.sort compare (Array.to_list arr))
 
-let test_heap_orders () =
-  let h = Heap_probe.make [ (3., 0); (1., 1); (2., 2); (1., 3); (0.5, 4) ] in
-  Alcotest.(check (list int)) "pop order" [ 4; 1; 3; 2; 0 ] (Heap_probe.drain h)
+let test_engine_pop_order () =
+  let e = Icc_sim.Engine.create () in
+  let log = ref [] in
+  List.iteri
+    (fun i time -> Icc_sim.Engine.schedule_at e ~time (fun () -> log := i :: !log))
+    [ 3.; 1.; 2.; 1.; 0.5 ];
+  Icc_sim.Engine.run e;
+  Alcotest.(check (list int)) "pop order" [ 4; 1; 3; 2; 0 ] (List.rev !log)
 
 let test_engine_runs_in_order () =
   let e = Icc_sim.Engine.create () in
@@ -56,6 +61,41 @@ let test_engine_rejects_past () =
            "Engine.schedule_at: time 0.500000 is in the past (now 1.000000)")
         (fun () -> Icc_sim.Engine.schedule_at e ~time:0.5 (fun () -> ())));
   Icc_sim.Engine.run e
+
+let test_engine_rejects_nan () =
+  let e = Icc_sim.Engine.create () in
+  let nan_time = Invalid_argument "Engine.schedule_at: time is NaN" in
+  Alcotest.check_raises "schedule_at" nan_time (fun () ->
+      Icc_sim.Engine.schedule_at e ~time:Float.nan (fun () -> ()));
+  Alcotest.check_raises "schedule" nan_time (fun () ->
+      Icc_sim.Engine.schedule e ~delay:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Icc_sim.Engine.pending e);
+  (* -0 still counts as the current time 0 and shares a run with +0 *)
+  let log = ref [] in
+  Icc_sim.Engine.schedule_at e ~time:0. (fun () -> log := 0 :: !log);
+  Icc_sim.Engine.schedule_at e ~time:(-0.) (fun () -> log := 1 :: !log);
+  Icc_sim.Engine.run e;
+  Alcotest.(check (list int)) "-0 runs as 0" [ 0; 1 ] (List.rev !log)
+
+(* The WAN pattern: about a thousand queued events, each at a timestamp of
+   its own (t + k * 1000.5 never repeats for integer starts t < 1000).
+   After warm-up the engine's per-event cost is deterministic, so a budget
+   on minor words catches a hot-path allocation regression. *)
+let test_engine_alloc_budget () =
+  let e = Icc_sim.Engine.create () in
+  let rec tick () = Icc_sim.Engine.schedule e ~delay:1000.5 tick in
+  for t = 0 to 999 do
+    Icc_sim.Engine.schedule_at e ~time:(float_of_int t) tick
+  done;
+  Icc_sim.Engine.run ~max_events:20_000 e;
+  let events = 100_000 in
+  let before = Gc.minor_words () in
+  Icc_sim.Engine.run ~max_events:(20_000 + events) e;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ran" (20_000 + events) (Icc_sim.Engine.processed e);
+  let per_event = words /. float_of_int events in
+  if per_event > 10. then
+    Alcotest.failf "%.1f minor words per event (budget 10)" per_event
 
 let make_net ?(n = 4) ?(delay = 0.1) () =
   let rng = Icc_sim.Rng.create 0 in
@@ -177,15 +217,126 @@ let prop_engine_fifo_at_same_time =
       Icc_sim.Engine.run e;
       List.rev !log = List.init k Fun.id)
 
+(* Model test: dispatch order is a stable sort on (time, seq).  Times come
+   from four values, so ties dominate: handlers schedule at [now] (into the
+   run being drained), onto times that already have an older queued run,
+   and onto fresh times, and [run] stops on [~until] (often a tie time),
+   [~max_events] and [Engine.stop].  Event [s] (its insertion seq) follows
+   [plans.(s mod len)]: schedule a child at [max now v] for each value
+   [v], then maybe stop.  The model replays the same program on a sorted
+   list. *)
+let tie_times = [| 0.; 1.; 2.; 3. |]
+let max_scheduled = 150
+
+type model = {
+  mutable m_now : float;
+  mutable m_seq : int;
+  mutable m_queue : (float * int) list; (* sorted by (time, seq) *)
+  mutable m_processed : int;
+  mutable m_log : (float * int * int * float) list;
+}
+
+let engine_matches_model (plans, phases) =
+  let plan s = plans.(s mod Array.length plans) in
+  let at now v = Float.max now tie_times.(v) in
+  (* engine side *)
+  let e = Icc_sim.Engine.create () in
+  let seen = ref None and log = ref [] in
+  Icc_sim.Engine.set_observer e (fun ~time ~seq -> seen := Some (time, seq));
+  let scheduled = ref 0 in
+  let rec schedule time =
+    if !scheduled < max_scheduled then begin
+      let s = !scheduled in
+      incr scheduled;
+      Icc_sim.Engine.schedule_at e ~time (fun () -> handle s)
+    end
+  and handle s =
+    let time, seq = Option.get !seen in
+    log := (time, seq, s, Icc_sim.Engine.now e) :: !log;
+    let children, stops = plan s in
+    List.iter (fun v -> schedule (at (Icc_sim.Engine.now e) v)) children;
+    if stops then Icc_sim.Engine.stop e
+  in
+  (* model side *)
+  let m =
+    { m_now = 0.; m_seq = 0; m_queue = []; m_processed = 0; m_log = [] }
+  in
+  let m_schedule time =
+    if m.m_seq < max_scheduled then begin
+      let rec ins = function
+        | (t, _) :: _ as q when time < t -> (time, m.m_seq) :: q
+        | x :: q -> x :: ins q
+        | [] -> [ (time, m.m_seq) ]
+      in
+      m.m_queue <- ins m.m_queue;
+      m.m_seq <- m.m_seq + 1
+    end
+  in
+  let rec m_run until max_events =
+    if m.m_processed < max_events then
+      match m.m_queue with
+      | [] -> ()
+      | (time, _) :: _ when time > until -> m.m_now <- until
+      | (time, s) :: rest ->
+          m.m_queue <- rest;
+          m.m_now <- time;
+          m.m_processed <- m.m_processed + 1;
+          m.m_log <- (time, s, s, time) :: m.m_log;
+          let children, stops = plan s in
+          List.iter (fun v -> m_schedule (at m.m_now v)) children;
+          if not stops then m_run until max_events
+  in
+  List.for_all
+    (fun (ext, until, budget) ->
+      List.iter (fun v -> schedule (at (Icc_sim.Engine.now e) v)) ext;
+      List.iter (fun v -> m_schedule (at m.m_now v)) ext;
+      let until =
+        match until with Some v -> at m.m_now v | None -> infinity
+      in
+      let max_events =
+        match budget with Some k -> m.m_processed + k | None -> max_int
+      in
+      Icc_sim.Engine.run ~until ~max_events e;
+      m_run until max_events;
+      !log = m.m_log
+      && Float.equal (Icc_sim.Engine.now e) m.m_now
+      && Icc_sim.Engine.pending e = List.length m.m_queue
+      && Icc_sim.Engine.processed e = m.m_processed)
+    phases
+
+let prop_engine_matches_model =
+  let open QCheck in
+  let value = Gen.int_bound (Array.length tie_times - 1) in
+  let plan =
+    Gen.(pair (list_size (int_bound 3) value) (map (( = ) 0) (int_bound 9)))
+  in
+  let phase =
+    Gen.(
+      triple (list_size (int_bound 5) value) (opt value) (opt (int_bound 8)))
+  in
+  let print =
+    Print.(
+      pair
+        (array (pair (list int) bool))
+        (list (triple (list int) (option int) (option int))))
+  in
+  Test.make ~name:"engine dispatch = stable sort on (time, seq)" ~count:500
+    (make ~print
+       Gen.(pair (array_size (int_range 1 8) plan) (list_size (int_range 1 4) phase)))
+    engine_matches_model
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
-    Alcotest.test_case "heap order" `Quick test_heap_orders;
+    Alcotest.test_case "engine pop order" `Quick test_engine_pop_order;
     Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
     Alcotest.test_case "engine until" `Quick test_engine_until;
     Alcotest.test_case "engine rejects past" `Quick test_engine_rejects_past;
+    Alcotest.test_case "engine rejects NaN" `Quick test_engine_rejects_nan;
+    Alcotest.test_case "engine allocation budget" `Quick
+      test_engine_alloc_budget;
     Alcotest.test_case "broadcast delivery" `Quick test_network_broadcast_delivery;
     Alcotest.test_case "self delivery" `Quick test_network_self_delivery_immediate;
     Alcotest.test_case "hold until" `Quick test_network_hold_until;
@@ -195,4 +346,5 @@ let suite =
     Alcotest.test_case "wan matrix" `Quick test_wan_matrix_symmetric;
     Alcotest.test_case "metrics percentile" `Quick test_metrics_percentile;
     QCheck_alcotest.to_alcotest prop_engine_fifo_at_same_time;
+    QCheck_alcotest.to_alcotest prop_engine_matches_model;
   ]
