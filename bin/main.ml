@@ -852,18 +852,9 @@ let lint_cmd =
           ~doc:"Extra artifact directories contributing type definitions \
                 without being linted themselves.")
   in
-  let inventory =
-    Arg.(
-      value & flag
-      & info [ "inventory" ]
-          ~doc:"Also print the cross-module inventory of top-level mutable \
-                state with its synchronization status (the D5 surface of \
-                the domain-safety analysis).")
-  in
-  let exec json inventory paths deps =
+  let exec json paths deps =
     let args =
       (if json then [ "--json" ] else [])
-      @ (if inventory then [ "--inventory" ] else [])
       @ List.concat_map (fun d -> [ "--deps"; d ]) deps
       @ paths
     in
@@ -877,10 +868,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Check the compiled libraries' typed ASTs for determinism \
              hazards (polymorphic compare, hash-order leaks, wall-clock \
-             reads, catch-all handlers) and domain-safety hazards \
-             (unsynchronized mutable state reachable from the parallel \
-             [@icc.domain_entry] closure).")
-    Term.(const exec $ json $ inventory $ paths $ deps)
+             reads, catch-all handlers).")
+    Term.(const exec $ json $ paths $ deps)
 
 (* ---------------------------------------------------------------- keys *)
 

@@ -67,4 +67,3 @@ let verify ~base1 ~base2 ~a ~b { challenge; response; commit1; commit2 } =
   && Group.elt_equal
        (Group.pow_cached base2 response)
        (Group.mul commit2 (Group.pow b challenge))
-[@@icc.domain_entry]

@@ -68,7 +68,6 @@ let mul_fast a b m d61 =
 let mul a b m =
   let d61 = (1 lsl 61) mod m in
   if d61 < 1 lsl 29 then mul_fast a b m d61 else mul_generic a b m
-[@@icc.domain_entry]
 
 let pow base e m =
   if e < 0 then invalid_arg "Fp.pow: negative exponent";

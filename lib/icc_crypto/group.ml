@@ -33,7 +33,6 @@ let elt_inv a = Fp.inv a p
 let pow base e =
   Counters.bump Counters.pow_generic;
   Fp.pow base (Fp.reduce e q) p
-[@@icc.domain_entry]
 
 (* --- fixed-base windowed exponentiation -------------------------------- *)
 
@@ -44,14 +43,10 @@ let pow base e =
    non-zero window) instead of ~91 for square-and-multiply.  Building a
    table costs ~300 mults, amortised after four exponentiations.
 
-   Tables live in a domain-local cache keyed by base element: each domain
-   builds its own tables (a table is a pure function of the base, so
-   per-domain rebuilds cost only the ~300-mult construction), which keeps
-   the lookup path lock-free and race-free when verification runs on
-   several domains (DESIGN.md §3.9).  All cache access is by exact key
-   (never iteration), so cache state can never perturb protocol
-   determinism; a size cap bounds memory against adversarial inputs
-   (full cache => compute generic, don't cache). *)
+   Tables live in one module-level cache keyed by base element.  All
+   cache access is by exact key (never iteration), so cache state can
+   never perturb protocol determinism; a size cap bounds memory against
+   adversarial inputs (full cache => compute generic, don't cache). *)
 module Fixed_base = struct
   let windows = 16 (* ceil(61 / 4) *)
   let radix = 16
@@ -94,8 +89,8 @@ module Fixed_base = struct
      a table of its own.  This fixes the saturation starvation bug
      where a full cache silently sent every later base — e.g. post-DKG
      re-keys — to generic pow forever.  The generator's table is built
-     at domain init and never enters the eviction ring, so [base_pow]
-     can't lose its table to adversarial base churn. *)
+     on the cache's first use and never enters the eviction ring, so
+     [base_pow] can't lose its table to adversarial base churn. *)
   type cache = {
     tbl : (elt, table) Hashtbl.t;
     ring : elt Queue.t; (* insertion-ordered evictable residents *)
@@ -106,12 +101,15 @@ module Fixed_base = struct
   let probation_cap = 1024
   let probation_hits = 3
 
-  let cache_key : cache Icc_obs.Dls.key =
-    Icc_obs.Dls.new_key (fun () ->
-        let tbl = Hashtbl.create 64 in
-        (* Pin the generator: built eagerly, never enqueued on [ring]. *)
-        Hashtbl.replace tbl g (make g);
-        { tbl; ring = Queue.create (); probation = Hashtbl.create 64 })
+  (* Lazy, so the generator's table is built (and counted in
+     [fixed_base_tables]) on first use, after any [Counters.reset] a
+     driver issues at start-up, not at module load. *)
+  let cache : cache Lazy.t =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       (* Pin the generator: never enqueued on [ring]. *)
+       Hashtbl.replace tbl g (make g);
+       { tbl; ring = Queue.create (); probation = Hashtbl.create 64 })
 
   let evict_one c =
     (* FIFO over evictable residents; entries are unique (a base is
@@ -137,7 +135,7 @@ module Fixed_base = struct
     Some t
 
   let find (base : elt) : table option =
-    let c = Icc_obs.Dls.get cache_key in
+    let c = Lazy.force cache in
     match Hashtbl.find_opt c.tbl base with
     | Some t -> Some t
     | None ->
@@ -171,7 +169,6 @@ let pow_cached base e =
       Counters.bump Counters.pow_fixed_base;
       Fixed_base.pow table e
   | None -> pow base e
-[@@icc.domain_entry]
 
 let base_pow e = pow_cached g e
 

@@ -83,7 +83,6 @@ let verify ?check params msg { signers; signatures } =
        (fun signer signature ->
          verify_share ?check params msg { signer; signature })
        signers signatures
-[@@icc.domain_entry]
 
 (* Modeled wire sizes (BLS multi-signature scale): a share is one 48-byte
    signature; a combined signature is 48 bytes plus an n-bit signer map. *)

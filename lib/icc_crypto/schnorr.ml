@@ -59,7 +59,6 @@ let verify { pk } (msg : string) { challenge; response; commitment } : bool =
   Group.scalar_equal challenge (challenge_hash ~commitment ~pk ~msg)
   && Group.elt_equal (Group.base_pow response)
        (Group.mul commitment (Group.pow_cached pk challenge))
-[@@icc.domain_entry]
 
 (* Modeled wire size: production Schnorr/BLS signatures are 48–64 bytes
    (R is recomputable from (c, s), so carrying it is free on the modeled

@@ -87,10 +87,7 @@ let push t (attrs : Parsetree.attributes) =
     true
   end
 
-(* Pop one frame; unused allows become findings.  Domain-rule allows
-   (D5-D8) are excluded: their findings are produced by the deferred
-   cross-module Domain pass, which owns their used/unused bookkeeping —
-   this walk would declare them unused before that pass has run. *)
+(* Pop one frame; unused allows become findings. *)
 let pop t =
   match t.stack with
   | [] -> ()
@@ -98,7 +95,7 @@ let pop t =
       t.stack <- rest;
       List.iter
         (fun e ->
-          if (not e.a_used) && not (Diag.is_domain_rule e.a_rule) then
+          if not e.a_used then
             t.report
               (Diag.of_location e.a_loc ~rule:Diag.rule_allow_unused
                  ~msg:

@@ -7,35 +7,16 @@
 
 type t = { file : string; line : int; col : int; rule : string; msg : string }
 
-(* The determinism & protocol-invariant rules (D1-D4), the domain-safety
-   rules (D5-D8, DESIGN.md §3.9) and the two meta rules policing the
-   escape hatches.  Meta rules are not suppressible: an allow cannot
-   allow itself. *)
+(* The determinism & protocol-invariant rules (D1-D4) and the two meta
+   rules policing the escape hatch.  Meta rules are not suppressible: an
+   allow cannot allow itself. *)
 let rule_poly_compare = "d1-poly-compare"
 let rule_hashtbl_order = "d2-hashtbl-order"
 let rule_banned_fn = "d3-banned-fn"
 let rule_float_eq = "d3-float-eq"
 let rule_catchall_exn = "d4-catchall-exn"
-let rule_mutable_global = "d5-mutable-global"
-let rule_domain_escape = "d6-domain-escape"
-let rule_unguarded_lazy = "d7-unguarded-lazy"
-let rule_nonatomic_rmw = "d8-nonatomic-rmw"
 let rule_allow_bad = "allow-bad"
 let rule_allow_unused = "allow-unused"
-
-(* The domain-safety family is checked by a deferred cross-module pass
-   (reachability from [@icc.domain_entry] seeds), so its [@icc.allow]
-   used/unused bookkeeping is owned by Domain, not by the per-expression
-   Allowlist scopes of the D1-D4 walk. *)
-let domain_rules =
-  [
-    rule_mutable_global;
-    rule_domain_escape;
-    rule_unguarded_lazy;
-    rule_nonatomic_rmw;
-  ]
-
-let is_domain_rule r = List.exists (String.equal r) domain_rules
 
 let suppressible_rules =
   [
@@ -44,10 +25,6 @@ let suppressible_rules =
     rule_banned_fn;
     rule_float_eq;
     rule_catchall_exn;
-    rule_mutable_global;
-    rule_domain_escape;
-    rule_unguarded_lazy;
-    rule_nonatomic_rmw;
   ]
 
 let is_suppressible r = List.exists (String.equal r) suppressible_rules

@@ -8,24 +8,13 @@ val rule_hashtbl_order : string
 val rule_banned_fn : string
 val rule_float_eq : string
 val rule_catchall_exn : string
-val rule_mutable_global : string
-val rule_domain_escape : string
-val rule_unguarded_lazy : string
-val rule_nonatomic_rmw : string
 val rule_allow_bad : string
 val rule_allow_unused : string
 
 val suppressible_rules : string list
-(** The rule ids an [@icc.allow] attribute may name (D1-D8). *)
+(** The rule ids an [@icc.allow] attribute may name (D1-D4). *)
 
 val is_suppressible : string -> bool
-
-val domain_rules : string list
-(** The deferred cross-module domain-safety family (D5-D8): their
-    allow bookkeeping is owned by the Domain pass, not the lexical
-    Allowlist scopes. *)
-
-val is_domain_rule : string -> bool
 
 val all_rules : string list
 (** Every rule id in a stable order, for per-rule summary counts. *)
@@ -43,6 +32,3 @@ val to_text : t -> string
 
 val to_json : t -> string
 (** One flat JSON object, same style as [Icc_sim.Trace.to_json]. *)
-
-val json_escape : string -> string
-(** Conservative string escaping shared by the driver's JSON surfaces. *)

@@ -2,11 +2,6 @@
    type table (pass 1), run the rules over every implementation (pass 2),
    and render a deterministic report.
 
-   Two analysis families share the same walk: the local determinism rules
-   D1-D4 (Rules) and the cross-module domain-safety rules D5-D8 (Domain),
-   whose per-unit collections are resolved in one [Domain.finalize] once
-   every implementation has been seen.
-
    The driver is filesystem-only — it never invokes the compiler — so it
    can run as a plain dune rule over whatever the build just produced. *)
 
@@ -14,7 +9,6 @@ type config = {
   paths : string list; (* linted (and used for type info) *)
   dep_paths : string list; (* type info only, e.g. --deps lib *)
   json : bool;
-  inventory : bool; (* dump the mutable-state inventory (D5 material) *)
   protocol_modules : string list;
 }
 
@@ -31,14 +25,8 @@ let default_protocol_modules =
     "Shamir"; "Group"; "Fp";
   ]
 
-let default ?(json = false) ?(inventory = false) ?(dep_paths = []) paths =
-  {
-    paths;
-    dep_paths;
-    json;
-    inventory;
-    protocol_modules = default_protocol_modules;
-  }
+let default ?(json = false) ?(dep_paths = []) paths =
+  { paths; dep_paths; json; protocol_modules = default_protocol_modules }
 
 (* --- artifact discovery ------------------------------------------------- *)
 
@@ -73,7 +61,6 @@ type result = {
   findings : Diag.t list;
   errors : string list; (* unreadable artifacts, in path order *)
   modules : int; (* implementations linted *)
-  inventory : Domain.inv list; (* top-level mutable state, sorted *)
 }
 
 let read_cmt errors path =
@@ -97,38 +84,24 @@ let collect config =
   let findings = ref [] in
   let report d = findings := d :: !findings in
   let modules = ref 0 in
-  let domain = Domain.create () in
   List.iter
     (fun (cmt : Cmt_format.cmt_infos) ->
       match cmt.cmt_annots with
       | Implementation st ->
           incr modules;
-          Rules.lint_structure ~table ~protocol ~report st;
-          Domain.collect domain ~table ~modname:cmt.cmt_modname ~report st
+          Rules.lint_structure ~table ~protocol ~report st
       | _ -> ())
     lint_cmts;
-  Domain.finalize domain ~report;
   {
     findings = Diag.sort !findings;
     errors = List.rev !errors;
     modules = !modules;
-    inventory = Domain.inventory domain;
   }
 
 (* --- reporting ---------------------------------------------------------- *)
 
 let count_rule findings rule =
   List.length (List.filter (fun (d : Diag.t) -> String.equal d.rule rule) findings)
-
-let inv_to_text (i : Domain.inv) =
-  Printf.sprintf "%s:%d: [inventory] %s: %s (%s)" i.i_file i.i_line i.i_name
-    i.i_kind i.i_sync
-
-let inv_to_json (i : Domain.inv) =
-  Printf.sprintf
-    {|{"type":"lint-inventory","name":"%s","kind":"%s","sync":"%s","file":"%s","line":%d}|}
-    (Diag.json_escape i.i_name) (Diag.json_escape i.i_kind)
-    (Diag.json_escape i.i_sync) (Diag.json_escape i.i_file) i.i_line
 
 (* The per-rule summary object CI gates on ([icc lint --json] +
    zero-unsuppressed-findings check); every known rule id appears, with
@@ -152,10 +125,6 @@ let summary_json r =
    2 when artifacts could not be read (the lint was incomplete). *)
 let run config =
   let r = collect config in
-  if config.inventory then begin
-    let render = if config.json then inv_to_json else inv_to_text in
-    List.iter (fun i -> print_endline (render i)) r.inventory
-  end;
   let render = if config.json then Diag.to_json else Diag.to_text in
   List.iter (fun d -> print_endline (render d)) r.findings;
   if config.json then print_endline (summary_json r);
@@ -179,19 +148,15 @@ let run config =
   if r.errors <> [] then 2 else if n > 0 then 1 else 0
 
 (* Shared argv parsing for [bin/lint] and the [icc lint] subcommand:
-   [--json] [--inventory] [--deps DIR]... [PATH]... *)
+   [--json] [--deps DIR]... [PATH]... *)
 let config_of_args args =
   let json = ref false
-  and inventory = ref false
   and deps = ref []
   and paths = ref [] in
   let rec go = function
     | [] -> Ok ()
     | "--json" :: rest ->
         json := true;
-        go rest
-    | "--inventory" :: rest ->
-        inventory := true;
         go rest
     | "--deps" :: dir :: rest ->
         deps := dir :: !deps;
@@ -217,5 +182,4 @@ let config_of_args args =
         | ps -> ps
       in
       Ok
-        (default ~json:!json ~inventory:!inventory ~dep_paths:(List.rev !deps)
-           paths)
+        (default ~json:!json ~dep_paths:(List.rev !deps) paths)

@@ -4,24 +4,21 @@ type config = {
   paths : string list;  (** linted (and contributing type info) *)
   dep_paths : string list;  (** type info only *)
   json : bool;
-  inventory : bool;  (** dump the mutable-state inventory first *)
   protocol_modules : string list;
 }
 
 val default_protocol_modules : string list
 
-val default :
-  ?json:bool -> ?inventory:bool -> ?dep_paths:string list -> string list -> config
+val default : ?json:bool -> ?dep_paths:string list -> string list -> config
 
 type result = {
   findings : Diag.t list;
   errors : string list;
   modules : int;
-  inventory : Domain.inv list;
 }
 
 val collect : config -> result
-(** Run all passes (D1-D4 per module, D5-D8 cross-module); findings
+(** Run both passes (type table, then D1-D4 per module); findings
     arrive sorted and de-duplicated. *)
 
 val run : config -> int
@@ -31,5 +28,5 @@ val run : config -> int
     artifacts. *)
 
 val config_of_args : string list -> (config, string) Result.t
-(** Parse [--json] [--inventory] [--deps DIR]... [PATH]... (shared by
+(** Parse [--json] [--deps DIR]... [PATH]... (shared by
     the standalone binary and the [icc lint] subcommand). *)

@@ -27,17 +27,7 @@ type decl =
   | Abstract
   | Open
 
-(* [decls] answers the D1-D4 hazard questions; [muts] records which
-   declared record types carry [mutable] fields, which the D5-D8 domain
-   pass needs to spot shared mutable state hiding behind a nominal type
-   (e.g. a [Registry.metric] record).  Mutability is recorded from both
-   interface and implementation views: an .mli that keeps the type
-   abstract hides the fields from *outside* code, but the state is no
-   less mutable for it. *)
-type table = {
-  decls : (string, decl) Hashtbl.t;
-  muts : (string, unit) Hashtbl.t;
-}
+type table = (string, decl) Hashtbl.t
 
 (* --- name normalization ------------------------------------------------ *)
 
@@ -90,15 +80,6 @@ let decl_of_kind ~manifest kind =
       | Some (ct : Typedtree.core_type) -> Alias ct.ctyp_type
       | None -> Abstract)
 
-let record_has_mutable_field (kind : Typedtree.type_kind) =
-  match kind with
-  | Ttype_record lds ->
-      List.exists
-        (fun (ld : Typedtree.label_declaration) ->
-          match ld.ld_mutable with Asttypes.Mutable -> true | _ -> false)
-        lds
-  | _ -> false
-
 let add_declaration table ~modname ~overwrite (td : Typedtree.type_declaration)
     =
   (* Parametric aliases would need substitution at use sites; treat them as
@@ -110,9 +91,7 @@ let add_declaration table ~modname ~overwrite (td : Typedtree.type_declaration)
     | _, k -> decl_of_kind ~manifest:None k
   in
   let key = norm_component modname ^ "." ^ td.typ_name.txt in
-  if record_has_mutable_field td.typ_kind then Hashtbl.replace table.muts key ();
-  if overwrite || not (Hashtbl.mem table.decls key) then
-    Hashtbl.replace table.decls key d
+  if overwrite || not (Hashtbl.mem table key) then Hashtbl.replace table key d
 
 let collect_signature table ~modname ~overwrite (sg : Typedtree.signature) =
   List.iter
@@ -132,7 +111,7 @@ let collect_structure table ~modname ~overwrite (st : Typedtree.structure) =
       | _ -> ())
     st.str_items
 
-let create () : table = { decls = Hashtbl.create 256; muts = Hashtbl.create 32 }
+let create () : table = Hashtbl.create 256
 
 (* [overwrite] distinguishes interface entries (authoritative) from
    implementation fallbacks. *)
@@ -171,7 +150,7 @@ let rec resolve ~table ~fuel (ty : Types.type_expr) : Types.type_expr =
   else
     match Types.get_desc ty with
     | Tconstr (p, [], _) -> (
-        match Hashtbl.find_opt table.decls (type_key p) with
+        match Hashtbl.find_opt table (type_key p) with
         | Some (Alias t) -> resolve ~table ~fuel:(fuel - 1) t
         | _ -> ty)
     | _ -> ty
@@ -205,7 +184,7 @@ let rec order_hazard ~table ~protocol ~float_ok ~fuel ty : verdict =
                   order_hazard ~table ~protocol ~float_ok ~fuel:(fuel - 1) a)
             Safe args
         else
-          match Hashtbl.find_opt table.decls key with
+          match Hashtbl.find_opt table key with
           | Some Variant_enum -> Safe
           | Some (Record | Variant_payload | Open) ->
               Hazard
@@ -257,7 +236,7 @@ let rec equality_hazard ~table ~protocol ~fuel ty : verdict =
               | Safe -> equality_hazard ~table ~protocol ~fuel:(fuel - 1) a)
             Safe args
         else
-          match Hashtbl.find_opt table.decls key with
+          match Hashtbl.find_opt table key with
           | Some Variant_enum -> Safe
           | Some (Record | Variant_payload | Open) ->
               if protocol (module_of_key key) then
@@ -281,69 +260,3 @@ let is_float ~table ty =
   match Types.get_desc (resolve ~table ~fuel:8 ty) with
   | Tconstr (p, [], _) -> String.equal (norm_path p) "float"
   | _ -> false
-
-(* --- shared-mutability classification (D5-D8) --------------------------- *)
-
-(* Types whose values are mutable through and through: sharing one across
-   domains without synchronization is a data race. *)
-let shared_mutable_type_names =
-  [
-    ("ref", "ref"); ("Stdlib.ref", "ref"); ("array", "array");
-    ("bytes", "bytes"); ("Hashtbl.t", "Hashtbl"); ("Stdlib.Hashtbl.t", "Hashtbl");
-    ("Queue.t", "Queue"); ("Stdlib.Queue.t", "Queue"); ("Stack.t", "Stack");
-    ("Stdlib.Stack.t", "Stack"); ("Buffer.t", "Buffer");
-    ("Stdlib.Buffer.t", "Buffer"); ("Weak.t", "Weak"); ("Stdlib.Weak.t", "Weak");
-  ]
-
-let lazy_type_names = [ "lazy_t"; "Lazy.t"; "Stdlib.Lazy.t" ]
-
-(* Synchronized / confined cells: mutable inside, but safe to share by
-   construction.  [Dls.key] / [Lock.t] are the repo's 4.14-compatible
-   shims over Domain.DLS / Mutex (lib/icc_obs). *)
-let sync_cell_type_names =
-  [
-    "Atomic.t"; "Stdlib.Atomic.t"; "Mutex.t"; "Stdlib.Mutex.t"; "DLS.key";
-    "Dls.key"; "Lock.t"; "Semaphore.t";
-  ]
-
-type mutability = Shared_mutable of string | Shared_lazy | Unshared
-
-let rec classify_mutable ?(fuel = 16) ~table ty : mutability =
-  if fuel = 0 then Unshared
-  else
-    let ty = resolve ~table ~fuel ty in
-    match Types.get_desc ty with
-    | Ttuple ts ->
-        List.fold_left
-          (fun acc t ->
-            match acc with
-            | Shared_mutable _ | Shared_lazy -> acc
-            | Unshared -> classify_mutable ~fuel:(fuel - 1) ~table t)
-          Unshared ts
-    | Tconstr (p, args, _) -> (
-        let name = norm_path p in
-        let key = type_key p in
-        if mem name sync_cell_type_names || mem key sync_cell_type_names then
-          Unshared
-        else if mem name lazy_type_names || mem key lazy_type_names then
-          Shared_lazy
-        else
-          match
-            (match List.assoc_opt name shared_mutable_type_names with
-            | Some _ as d -> d
-            | None -> List.assoc_opt key shared_mutable_type_names)
-          with
-          | Some desc -> Shared_mutable desc
-          | None ->
-              if Hashtbl.mem table.muts key then
-                Shared_mutable (Printf.sprintf "mutable record %s" key)
-              else if mem name container_names || mem key container_names then
-                (* An immutable spine still shares its mutable elements. *)
-                List.fold_left
-                  (fun acc a ->
-                    match acc with
-                    | Shared_mutable _ | Shared_lazy -> acc
-                    | Unshared -> classify_mutable ~fuel:(fuel - 1) ~table a)
-                  Unshared args
-              else Unshared)
-    | _ -> Unshared

@@ -1,26 +1,22 @@
 (* Span-based self-profiler (contract in profile.mli).
 
-   Hot-path discipline: with the toggle off, [span] costs one atomic
-   load and a branch.  With it on, entry reads the clock and pushes a
+   Hot-path discipline: with the toggle off, [span] costs one ref read
+   and a branch.  With it on, entry reads the clock and pushes a
    reusable stack frame (the frame array is grown geometrically and
    never shrunk, so steady-state entry allocates only the folded-path
    string); exit reads the clock and folds the frame into the
    aggregation tables.
 
-   Domain safety (DESIGN.md §3.9): the span stack and the round/party
-   attribution context are domain-local ([Dls] — every domain profiles
-   its own call tree), the enable toggle is an [Atomic.t], and the
-   four aggregation tables are only touched under [profile_lock], so
-   spans on several domains can run with profiling on without racing
-   the main domain.  On 4.14 the shims degrade to plain cells and no-op
-   locks with identical single-domain behaviour.
+   The simulator runs on one domain, so the toggle is a plain [ref] and
+   the span stack, attribution context and aggregation tables are
+   module-level state that takes no lock (DESIGN.md §3.9).
 
    All query output is sorted with keyed comparators — Hashtbl iteration
    order never escapes. *)
 
-let on = Atomic.make false
-let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
+let on = ref false
+let enabled () = !on
+let set_enabled b = on := b
 
 let now () =
   (Unix.gettimeofday ()
@@ -29,7 +25,7 @@ let now () =
      it is default-off, write-only, and feeds nothing back into the \
      simulation"])
 
-(* --- domain-local span stack -------------------------------------------- *)
+(* --- span stack ---------------------------------------------------------- *)
 
 type frame = {
   mutable fr_name : string;
@@ -40,8 +36,8 @@ type frame = {
 
 let fresh_frame () = { fr_name = ""; fr_path = ""; fr_start = 0.; fr_child = 0. }
 
-(* Per-domain profiler state: the span stack plus the round/party
-   attribution context of whatever that domain is executing. *)
+(* The profiler's state: the span stack plus the round/party
+   attribution context of whatever is executing. *)
 type pstate = {
   mutable frames : frame array;
   mutable depth : int;
@@ -49,52 +45,38 @@ type pstate = {
   mutable party : int;
 }
 
-let pstate_key : pstate Dls.key =
-  Dls.new_key (fun () ->
-      {
-        frames = Array.init 64 (fun _ -> fresh_frame ());
-        depth = 0;
-        round = 0;
-        party = 0;
-      })
+let st =
+  { frames = Array.init 64 (fun _ -> fresh_frame ()); depth = 0; round = 0; party = 0 }
 
-let grow st =
+let grow () =
   let old = st.frames in
   let n = Array.length old in
   st.frames <-
     Array.init (2 * n) (fun i -> if i < n then old.(i) else fresh_frame ())
 
-let set_round r = (Dls.get pstate_key).round <- r
-let set_party p = (Dls.get pstate_key).party <- p
+let set_round r = st.round <- r
+let set_party p = st.party <- p
 
-(* --- aggregation (shared across domains, guarded by profile_lock) ------- *)
+(* --- aggregation --------------------------------------------------------- *)
 
 type agg = { mutable a_count : int; mutable a_total : float; mutable a_self : float }
 type cell = { mutable cl_count : int; mutable cl_self : float }
 
-let profile_lock = Lock.create ()
-
 let agg_tbl : (string, agg) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let folded_tbl : (string, cell) Hashtbl.t = Hashtbl.create 256
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 (* context -> (span name -> self seconds); two-level so the leaf tables
    stay small and keyed by the same interned name strings. *)
 let round_tbl : (int, (string, float ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let party_tbl : (int, (string, float ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64
-[@@icc.domain_safe "written only inside [record]/[reset] under profile_lock"]
 
 let reset () =
-  Lock.with_lock profile_lock (fun () ->
-      Hashtbl.reset agg_tbl;
-      Hashtbl.reset folded_tbl;
-      Hashtbl.reset round_tbl;
-      Hashtbl.reset party_tbl);
-  let st = Dls.get pstate_key in
+  Hashtbl.reset agg_tbl;
+  Hashtbl.reset folded_tbl;
+  Hashtbl.reset round_tbl;
+  Hashtbl.reset party_tbl;
   st.round <- 0;
   st.party <- 0;
   st.depth <- 0
@@ -112,8 +94,7 @@ let charge tbl key name self =
   | Some r -> r := !r +. self
   | None -> Hashtbl.add leaf name (ref self)
 
-let record st fr total self =
-  Lock.with_lock profile_lock @@ fun () ->
+let record fr total self =
   (match Hashtbl.find_opt agg_tbl fr.fr_name with
   | Some a ->
       a.a_count <- a.a_count + 1;
@@ -131,9 +112,9 @@ let record st fr total self =
   charge round_tbl st.round fr.fr_name self;
   charge party_tbl st.party fr.fr_name self
 
-let enter st name =
+let enter name =
   let d = st.depth in
-  if d >= Array.length st.frames then grow st;
+  if d >= Array.length st.frames then grow ();
   let fr = st.frames.(d) in
   fr.fr_name <- name;
   fr.fr_path <-
@@ -142,7 +123,7 @@ let enter st name =
   fr.fr_child <- 0.;
   st.depth <- d + 1
 
-let leave st =
+let leave () =
   let t = now () in
   let d = st.depth - 1 in
   st.depth <- d;
@@ -153,19 +134,18 @@ let leave st =
     let parent = st.frames.(d - 1) in
     parent.fr_child <- parent.fr_child +. total
   end;
-  record st fr total self
+  record fr total self
 
 let span name f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
-    let st = Dls.get pstate_key in
-    enter st name;
+    enter name;
     match f () with
     | v ->
-        leave st;
+        leave ();
         v
     | exception e ->
-        leave st;
+        leave ();
         raise e
   end
 
@@ -179,30 +159,20 @@ type stat = {
 }
 
 let stats () =
-  Lock.with_lock profile_lock (fun () ->
-      (Hashtbl.fold
-         (fun name a acc ->
-           {
-             sp_name = name;
-             sp_count = a.a_count;
-             sp_total_s = a.a_total;
-             sp_self_s = a.a_self;
-           }
-           :: acc)
-         agg_tbl []
-       [@icc.allow
-         "d2-hashtbl-order: unordered stats collected under the lock feed \
-          the keyed List.sort below"]))
+  Hashtbl.fold
+    (fun name a acc ->
+      {
+        sp_name = name;
+        sp_count = a.a_count;
+        sp_total_s = a.a_total;
+        sp_self_s = a.a_self;
+      }
+      :: acc)
+    agg_tbl []
   |> List.sort (fun a b -> String.compare a.sp_name b.sp_name)
 
 let folded () =
-  Lock.with_lock profile_lock (fun () ->
-      (Hashtbl.fold
-         (fun path c acc -> (path, c.cl_count, c.cl_self) :: acc)
-         folded_tbl []
-       [@icc.allow
-         "d2-hashtbl-order: unordered folded paths collected under the lock \
-          feed the keyed List.sort below"]))
+  Hashtbl.fold (fun path c acc -> (path, c.cl_count, c.cl_self) :: acc) folded_tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let folded_lines () =
@@ -217,18 +187,14 @@ let folded_lines () =
   Buffer.contents b
 
 let contexts tbl =
-  Lock.with_lock profile_lock (fun () ->
-      (Hashtbl.fold
-         (fun key leaf acc ->
-           let cells =
-             Hashtbl.fold (fun name r acc -> (name, !r) :: acc) leaf []
-             |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-           in
-           (key, cells) :: acc)
-         tbl []
-       [@icc.allow
-         "d2-hashtbl-order: unordered contexts collected under the lock \
-          feed the keyed List.sort below"]))
+  Hashtbl.fold
+    (fun key leaf acc ->
+      let cells =
+        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) leaf []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      in
+      (key, cells) :: acc)
+    tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let by_round () = contexts round_tbl

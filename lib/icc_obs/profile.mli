@@ -4,15 +4,12 @@
 
     The profiler is a runtime switch — OFF by default and forbidden from
     changing behaviour.  When disabled, {!span} is one
-    atomic load and a branch before calling the thunk: no clock is read,
+    ref read and a branch before calling the thunk: no clock is read,
     nothing is recorded, and traced runs stay byte-identical to
     unprofiled ones.
 
-    Domain safety (DESIGN.md §3.9): the span stack and attribution
-    context are domain-local, the toggle is atomic, and aggregation is
-    serialised behind a lock, so spans may run concurrently in a
-    [Domain.spawn] worker pool; each domain profiles its own call tree
-    and the tables merge race-free.
+    The profiler keeps one module-level span stack and takes no lock:
+    the simulator runs every party on one domain (DESIGN.md §3.9).
     When enabled, a span costs two [Unix.gettimeofday] reads plus O(1)
     hashtable updates at exit.  Either way the profiler writes no trace
     events itself and feeds nothing back into the simulation, so enabling
